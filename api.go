@@ -136,8 +136,8 @@ func AnnealSearch(space *Space, obj SearchObjective, budget int, seed int64) Sea
 // The pluggable search layer (DESIGN.md §16): every searcher — the GA,
 // the TPE Bayesian optimizer, and the ablations above — behind one
 // interface and a name-keyed registry. Options.Searcher on the tuner
-// routes the pipeline's search stage through any of them; nil keeps the
-// paper's GA byte-identically.
+// routes the pipeline's search stage through any of them; nil, like the
+// registry's "ga", selects the paper's GA with the tuner's GA options.
 type (
 	// Searcher is the pluggable search-stage contract.
 	Searcher = search.Searcher

@@ -209,17 +209,13 @@ func selectBackend(t *core.Tuner, name string, reg *obs.Registry) error {
 	return nil
 }
 
-// selectSearcher validates -searcher and, for non-default choices,
-// routes the tuner's searching stage through that searcher. The ga
-// default keeps the tuner's built-in GA path — output stays
-// byte-identical to a build without the searcher layer.
+// selectSearcher validates -searcher and routes the tuner's searching
+// stage through that searcher. The registry's ga carries the tuner's GA
+// options, so the default tunes exactly as a tuner without a searcher.
 func selectSearcher(t *core.Tuner, name string, reg *obs.Registry) error {
 	s, err := search.Default().Lookup(name)
 	if err != nil {
 		return err
-	}
-	if name == "ga" {
-		return nil
 	}
 	t.Opt.Searcher = s
 	reg.Counter("search.searcher." + name).Inc()
@@ -352,7 +348,7 @@ func tuneOnlineCLI(w *workloads.Workload, t *core.Tuner, units, targetMB, lo, hi
 	oo core.OnlineOptions, of obsFlags, reg *obs.Registry) error {
 	fmt.Printf("online tuning %s for %g %s (%.0f MB)...\n", w.Name, units, w.Unit, targetMB)
 	lastPhase := ""
-	res, err := t.TuneOnline(context.Background(), lo, hi, targetMB, oo, core.OnlineHooks{
+	res, err := t.TuneOnline(context.Background(), lo, hi, targetMB, oo, core.RowHooks{
 		Progress: func(phase string, done, total int) {
 			if phase != lastPhase {
 				if lastPhase != "" {

@@ -8,25 +8,37 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/conf"
+	"repro/internal/dataset"
 	"repro/internal/obs"
 	"repro/internal/sparksim"
 	"repro/internal/workloads"
 )
 
-// collectCSV runs one small Collect with the given executor and returns the
-// resulting training set serialized as CSV.
-func collectCSV(t *testing.T, exec Executor, reg *obs.Registry) []byte {
-	t.Helper()
+// csvTuner is the small collect both sides of the batch comparison run.
+func csvTuner(exec Executor, reg *obs.Registry) (*Tuner, []float64) {
 	tuner := &Tuner{
 		Space: conf.StandardSpace(),
 		Exec:  exec,
 		Opt:   Options{NTrain: 200, Seed: 1},
 		Obs:   reg,
 	}
-	set, _, err := tuner.Collect(tuner.TrainingSizesMB(10*1024, 50*1024))
+	return tuner, tuner.TrainingSizesMB(10*1024, 50*1024)
+}
+
+// collectCSV runs one small Collect with the given executor and returns the
+// resulting training set serialized as CSV.
+func collectCSV(t *testing.T, exec Executor, reg *obs.Registry) []byte {
+	t.Helper()
+	tuner, sizes := csvTuner(exec, reg)
+	set, _, err := tuner.Collect(sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return setCSV(t, set)
+}
+
+func setCSV(t *testing.T, set *dataset.Set) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := set.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -48,18 +60,20 @@ func TestCollectBatchByteIdenticalCSV(t *testing.T) {
 	serial := ExecutorFunc(func(cfg conf.Config, dsizeMB float64) float64 {
 		return sim.Run(&w.Program, dsizeMB, cfg).TotalSec
 	})
-	ref := collectCSV(t, serial, nil)
+	refTuner, refSizes := csvTuner(serial, nil)
+	refSet, _ := serialCollect(t, refTuner, refSizes)
+	ref := setCSV(t, refSet)
 	for _, procs := range []int{1, 4} {
 		prev := runtime.GOMAXPROCS(procs)
-		serialCSV := collectCSV(t, serial, nil)
+		perJobCSV := collectCSV(t, serial, nil)
 		reg := obs.NewRegistry()
 		batchCSV := collectCSV(t, NewSimExecutor(sim, &w.Program), reg)
 		runtime.GOMAXPROCS(prev)
-		if !bytes.Equal(serialCSV, ref) {
-			t.Fatalf("GOMAXPROCS=%d: serial collect CSV is not reproducible", procs)
+		if !bytes.Equal(perJobCSV, ref) {
+			t.Fatalf("GOMAXPROCS=%d: per-job collect CSV differs from the serial oracle", procs)
 		}
 		if !bytes.Equal(batchCSV, ref) {
-			t.Fatalf("GOMAXPROCS=%d: batched collect CSV differs from the serial path", procs)
+			t.Fatalf("GOMAXPROCS=%d: batched collect CSV differs from the serial oracle", procs)
 		}
 		if reg.Counter("core.collect.batches").Value() == 0 {
 			t.Errorf("GOMAXPROCS=%d: SimExecutor collect never took the batch path", procs)

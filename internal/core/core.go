@@ -7,11 +7,11 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/conf"
@@ -91,15 +91,15 @@ type Options struct {
 	BackendTrain model.TrainOpts
 	// GA configures the searcher.
 	GA ga.Options
-	// Searcher, when non-nil, replaces the GA searching stage: the tuner
-	// calls Searcher.Search with the candidate budget the GA options
-	// imply (PopSize×(Generations+1), so every searcher considers as
-	// many configurations as the paper's GA would), the same derived
-	// seed, the same training-set population seeds, and the same batch
-	// objective and genome cache. Nil keeps the paper's GA path,
-	// including its exact seed trajectory — default-path output is
-	// byte-identical with or without the searcher layer present
-	// (mirroring what Backend does for the modeling stage).
+	// Searcher selects the searching stage: the tuner calls
+	// Searcher.Search with the candidate budget the GA options imply
+	// (PopSize×(Generations+1), so every searcher considers as many
+	// configurations as the paper's GA would), the same derived seed, the
+	// same training-set population seeds, and the same batch objective
+	// and genome cache. Nil, or any search.GASearcher (the registry's
+	// "ga"), selects the paper's GA carrying the GA options above — the
+	// way a nil Sampler selects the uniform generator. A GASearcher's own
+	// Opt is replaced by GA: set the GA shape there, not on the searcher.
 	Searcher search.Searcher
 	// Parallelism bounds concurrent executions while collecting
 	// (0 = GOMAXPROCS). The simulated cluster cost is unaffected.
@@ -202,75 +202,12 @@ func (t *Tuner) TrainingSizesMB(minMB, maxMB float64) []float64 {
 
 // Collect runs the collecting component: NTrain executions with random
 // configurations spread across the given dataset sizes, gathered into a
-// training set. Executions run concurrently; results are deterministic in
-// (Seed, Exec) because each row's configuration and size are fixed up
-// front.
+// training set. It is CollectResumable with zero hooks: executions run
+// concurrently in checkpoint-sized batches, and results are
+// deterministic in (Seed, Exec) because each row's configuration and size
+// are fixed up front.
 func (t *Tuner) Collect(sizesMB []float64) (*dataset.Set, Overhead, error) {
-	sp := t.Obs.StartSpan("collect")
-	defer sp.End()
-	return t.collect(sizesMB)
-}
-
-func (t *Tuner) collect(sizesMB []float64) (*dataset.Set, Overhead, error) {
-	opt := t.Opt.withDefaults()
-	if len(sizesMB) == 0 {
-		return nil, Overhead{}, fmt.Errorf("core: no dataset sizes")
-	}
-	jobs := t.CollectJobs(sizesMB)
-	times := make([]float64, len(jobs))
-	t.runJobs(jobs, times, opt.Parallelism)
-
-	set := dataset.NewSet(t.Space)
-	var clusterSec float64
-	for i, j := range jobs {
-		if times[i] <= 0 || math.IsNaN(times[i]) || math.IsInf(times[i], 0) {
-			return nil, Overhead{}, fmt.Errorf("core: execution %d returned time %v", i, times[i])
-		}
-		set.Add(j.Cfg, j.DsizeMB, times[i])
-		clusterSec += times[i]
-	}
-	t.Obs.Counter("core.collect.jobs").Add(int64(len(jobs)))
-	t.Obs.Float("core.collect.cluster.sec").Add(clusterSec)
-	return set, Overhead{CollectClusterHours: clusterSec / 3600}, nil
-}
-
-// runJobs executes jobs concurrently, writing each job's time into times
-// at the job's index. The jobs are split into one contiguous chunk per
-// worker — not one goroutine per job, which for the paper's budget meant
-// a 2000-goroutine spawn — and an executor that implements BatchExecutor
-// receives its whole chunk as a single ExecuteBatch call, amortizing
-// per-run setup across it ("core.collect.batches" counts those calls,
-// and each is timed under the "core.collect.batch" span). Results land
-// by position either way, so the collected set — and any CSV written
-// from it — is byte-identical across executor kinds, worker counts, and
-// GOMAXPROCS.
-func (t *Tuner) runJobs(jobs []Job, times []float64, workers int) {
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	be, batched := t.Exec.(BatchExecutor)
-	var wg sync.WaitGroup
-	for c := 0; c < workers; c++ {
-		lo, hi := c*len(jobs)/workers, (c+1)*len(jobs)/workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			if batched {
-				sp := t.Obs.StartSpan("core.collect.batch")
-				copy(times[lo:hi], be.ExecuteBatch(jobs[lo:hi]))
-				sp.End()
-				t.Obs.Counter("core.collect.batches").Inc()
-				return
-			}
-			for i := lo; i < hi; i++ {
-				times[i] = t.Exec.Execute(jobs[i].Cfg, jobs[i].DsizeMB)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	return t.CollectResumable(context.Background(), sizesMB, RowHooks{})
 }
 
 // Model trains the HM performance model over the collected set.
@@ -411,12 +348,7 @@ func (t *Tuner) search(m model.Model, dsizeMB float64, seedConfs [][]float64) (c
 		gaOpt.BatchObj = batchObj
 	}
 	start := time.Now()
-	var res ga.Result
-	if opt.Searcher != nil {
-		res = runSearcher(opt.Searcher, t.Space, obj, seedConfs, gaOpt)
-	} else {
-		res = ga.Minimize(t.Space, obj, seedConfs, gaOpt)
-	}
+	res := runSearcher(opt.Searcher, t.Space, obj, seedConfs, gaOpt)
 	elapsed := time.Since(start).Seconds()
 	cfg, err := t.Space.FromVector(res.Best)
 	if err != nil {
@@ -450,7 +382,7 @@ func (t *Tuner) Tune(minMB, maxMB float64, targetsMB []float64) (*TuneResult, er
 
 	sizes := t.TrainingSizesMB(minMB, maxMB)
 	cs := root.Child("collect")
-	set, ovC, err := t.collect(sizes)
+	set, ovC, err := t.collect(context.Background(), sizes, RowHooks{})
 	cs.End()
 	if err != nil {
 		return nil, err
@@ -511,12 +443,18 @@ func (t *Tuner) tuneCollected(root *obs.Span, set *dataset.Set, ovC Overhead, ta
 	return out, nil
 }
 
-// runSearcher routes a search through a pluggable Searcher with the
-// candidate budget and wiring the GA options imply, and converts the
-// outcome back to the GA result shape the pipeline reports (Converged
-// recomputed with ga's 0.5%-of-final-best rule over the searcher's
-// round history).
+// runSearcher is the searching stage's one path. It resolves the
+// searcher — nil, or any search.GASearcher, becomes the paper's GA
+// carrying the tuner's GA options, the way a nil Sampler becomes
+// conf.UniformSampler — runs it with the candidate budget and wiring the
+// GA options imply, and converts the outcome back to the GA result shape
+// the pipeline reports (Converged recomputed with ga's
+// 0.5%-of-final-best rule over the searcher's round history).
 func runSearcher(s search.Searcher, space *conf.Space, obj ga.Objective, init [][]float64, gaOpt ga.Options) ga.Result {
+	switch s.(type) {
+	case nil, search.GASearcher:
+		s = search.GASearcher{Opt: gaOpt}
+	}
 	sres := s.Search(space, search.Objective(obj), search.Options{
 		Budget:   search.GABudget(gaOpt),
 		Seed:     gaOpt.Seed,
@@ -531,6 +469,7 @@ func runSearcher(s search.Searcher, space *conf.Space, obj ga.Objective, init []
 		BestFitness: sres.BestFitness,
 		History:     sres.History,
 		Evaluations: sres.Evaluations,
+		CacheHits:   sres.CacheHits,
 	}
 	for g, v := range res.History {
 		if v <= res.BestFitness*1.005+1e-12 {
@@ -581,7 +520,7 @@ func (t *RFHOCTuner) Tune(minMB, maxMB float64) (conf.Config, error) {
 	inner := &Tuner{Space: t.Space, Exec: t.Exec, Opt: t.Opt, Obs: t.Obs}
 	sizes := inner.TrainingSizesMB(minMB, maxMB)
 	cs := root.Child("collect")
-	set, _, err := inner.collect(sizes)
+	set, _, err := inner.collect(context.Background(), sizes, RowHooks{})
 	cs.End()
 	if err != nil {
 		return conf.Config{}, err

@@ -73,14 +73,14 @@ func TestCollectShapesAndDeterminism(t *testing.T) {
 	if ov.CollectClusterHours <= 0 {
 		t.Error("collecting cluster hours not accounted")
 	}
-	set2, _, err := tuner.Collect(sizes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref, refOv := serialCollect(t, tuner, sizes)
 	for i := range set.Vectors {
-		if set.Vectors[i].TimeSec != set2.Vectors[i].TimeSec {
-			t.Fatal("Collect is not deterministic despite concurrency")
+		if set.Vectors[i].TimeSec != ref.Vectors[i].TimeSec {
+			t.Fatal("concurrent Collect differs from the serial oracle")
 		}
+	}
+	if ov.CollectClusterHours != refOv.CollectClusterHours {
+		t.Fatalf("cluster-hours %v, serial oracle %v", ov.CollectClusterHours, refOv.CollectClusterHours)
 	}
 	if _, _, err := tuner.Collect(nil); err == nil {
 		t.Error("empty size list should fail")

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/hm"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/search"
 	"repro/internal/sparksim"
 	"repro/internal/workloads"
 )
@@ -121,5 +123,51 @@ func TestSearchBatchWiringMatchesSerialGA(t *testing.T) {
 				t.Fatalf("%s: config dimension %d differs: %v vs %v", tc.label, i, vec[i], refVec[i])
 			}
 		}
+	}
+}
+
+// TestRegistryGAMatchesDefault pins the searcher resolution rule: the
+// registry's "ga" carries the tuner's GA options, so a tune selecting it
+// equals the default (nil-searcher) tune exactly — not a GA at the
+// registry's zero-value 100-individual shape.
+func TestRegistryGAMatchesDefault(t *testing.T) {
+	w, err := workloads.ByAbbr("TS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tune := func(s search.Searcher) *TuneResult {
+		sim := sparksim.New(cluster.Standard(), 8)
+		tuner := &Tuner{
+			Space: conf.StandardSpace(),
+			Exec:  NewSimExecutor(sim, &w.Program),
+			Opt: Options{
+				NTrain:   120,
+				HM:       hm.Options{Trees: 60, LearningRate: 0.1, TreeComplexity: 5},
+				GA:       ga.Options{PopSize: 30, Generations: 6},
+				Searcher: s,
+				Seed:     1,
+			},
+		}
+		res, err := tuner.Tune(w.InputMB(10), w.InputMB(50), []float64{w.InputMB(30)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	gaSearcher, err := search.Default().Lookup("ga")
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := w.InputMB(30)
+	ref, got := tune(nil), tune(gaSearcher)
+	if !reflect.DeepEqual(got.Best[target].Vector(), ref.Best[target].Vector()) {
+		t.Error("registry ga tuned a different configuration than the default path")
+	}
+	if got.PredictedSec[target] != ref.PredictedSec[target] {
+		t.Errorf("predictions differ: %v vs %v", got.PredictedSec[target], ref.PredictedSec[target])
+	}
+	if !reflect.DeepEqual(got.GA[target], ref.GA[target]) {
+		t.Errorf("GA results differ: %d vs %d evaluations over %d vs %d generations",
+			got.GA[target].Evaluations, ref.GA[target].Evaluations, len(got.GA[target].History), len(ref.GA[target].History))
 	}
 }

@@ -6,14 +6,12 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/conf"
 	"repro/internal/dataset"
-	"repro/internal/ga"
 	"repro/internal/hm"
 	"repro/internal/model"
 	"repro/internal/sparksim"
@@ -98,25 +96,6 @@ func (o OnlineOptions) withDefaults() OnlineOptions {
 	return o
 }
 
-// OnlineHooks are TuneOnline's durability and progress seams, mirroring
-// CollectHooks. Row indices are global across the whole online
-// trajectory: screening rows first, then each iteration's candidate
-// batch, then the final confirming run — a pure function of the tuner's
-// options, which is what makes journaled (index, time) pairs sufficient
-// to resume.
-type OnlineHooks struct {
-	// Known reports a row's already-measured time (journal replay on
-	// resume); rows with a known time are not re-executed.
-	Known func(index int) (timeSec float64, ok bool)
-	// OnBatch observes freshly executed rows — the journal append hook.
-	// Called from worker goroutines concurrently.
-	OnBatch func(rows []RowTime)
-	// Progress receives (phase, done, total) updates: "screen" counts
-	// screening rows, "model" fires once after the initial fit,
-	// "iterate" counts completed iterations, "final" the confirming run.
-	Progress func(phase string, done, total int)
-}
-
 // OnlineIteration records one collect→refit→search round.
 type OnlineIteration struct {
 	// Runs is the cumulative measured-run count after this iteration.
@@ -164,9 +143,9 @@ type OnlineResult struct {
 	Overhead Overhead
 }
 
-// onlineBatchRows is the checkpoint granularity for online row
-// execution: small enough that a killed daemon loses little work, small
-// batches anyway since IterBatch is typically a few dozen.
+// onlineBatchRows is TuneOnline's checkpoint granularity: small
+// enough that a killed daemon loses little work, small batches anyway
+// since IterBatch is typically a few dozen.
 const onlineBatchRows = 32
 
 // TuneOnline runs the online importance-screened tuning loop against the
@@ -177,7 +156,14 @@ const onlineBatchRows = 32
 // whose Known replays journaled times reproduces the identical
 // observation set and final configuration without re-executing finished
 // rows.
-func (t *Tuner) TuneOnline(ctx context.Context, minMB, maxMB, targetMB float64, oo OnlineOptions, hooks OnlineHooks) (*OnlineResult, error) {
+//
+// Every measured run goes through the row engine under hooks, with row
+// indices global across the trajectory: screening rows first, then each
+// iteration's candidate batch, then the final confirming run. Progress
+// phases: "screen" counts screening rows, "model" fires once after the
+// initial fit, "iterate" counts each iteration's candidate rows and then
+// the completed iterations, and "final" the confirming run.
+func (t *Tuner) TuneOnline(ctx context.Context, minMB, maxMB, targetMB float64, oo OnlineOptions, hooks RowHooks) (*OnlineResult, error) {
 	root := t.Obs.StartSpan("tune_online")
 	defer root.End()
 
@@ -193,6 +179,18 @@ func (t *Tuner) TuneOnline(ctx context.Context, minMB, maxMB, targetMB float64, 
 	if len(sizes) == 0 {
 		return nil, fmt.Errorf("core: no dataset sizes")
 	}
+	// measure executes one index-contiguous block of the trajectory's
+	// rows, starting at global index base.
+	measure := func(base int, jobs []Job, phase string) ([]float64, error) {
+		times, known, err := t.runRows(ctx, base, jobs, onlineBatchRows, phase, hooks)
+		if known > 0 {
+			t.Obs.Counter("core.online.resumed.rows").Add(int64(known))
+		}
+		if err == nil && known < len(jobs) {
+			t.Obs.Counter("core.online.runs").Add(int64(len(jobs) - known))
+		}
+		return times, err
+	}
 
 	// --- Screening: a small collect sweep ranks the parameters. -------
 	// The screening rows reuse CollectJobs' derivation with NTrain set to
@@ -204,7 +202,7 @@ func (t *Tuner) TuneOnline(ctx context.Context, minMB, maxMB, targetMB float64, 
 	jobs := screens.CollectJobs(sizes)
 
 	cs := root.Child("screen")
-	screenTimes, err := t.runOnlineRows(ctx, 0, jobs, "screen", hooks, opt.Parallelism)
+	screenTimes, err := measure(0, jobs, "screen")
 	cs.End()
 	if err != nil {
 		return nil, err
@@ -278,7 +276,7 @@ func (t *Tuner) TuneOnline(ctx context.Context, minMB, maxMB, targetMB float64, 
 			cjobs[i] = Job{Cfg: c, DsizeMB: targetMB}
 		}
 		is := root.Child("iterate")
-		candTimes, err := t.runOnlineRows(ctx, nextIndex, cjobs, "iterate", hooks, opt.Parallelism)
+		candTimes, err := measure(nextIndex, cjobs, "iterate")
 		is.End()
 		if err != nil {
 			return nil, err
@@ -332,7 +330,7 @@ func (t *Tuner) TuneOnline(ctx context.Context, minMB, maxMB, targetMB float64, 
 
 	finalJob := []Job{{Cfg: srch.cfg, DsizeMB: targetMB}}
 	fs := root.Child("final")
-	finalTimes, err := t.runOnlineRows(ctx, nextIndex, finalJob, "final", hooks, opt.Parallelism)
+	finalTimes, err := measure(nextIndex, finalJob, "final")
 	fs.End()
 	if err != nil {
 		return nil, err
@@ -369,103 +367,6 @@ func (t *Tuner) TuneOnline(ctx context.Context, minMB, maxMB, targetMB float64, 
 		Set:             set,
 		Overhead:        overhead,
 	}, nil
-}
-
-// runOnlineRows executes one index-contiguous block of rows starting at
-// global index base: rows with journaled times replay through
-// hooks.Known, the rest run in checkpoint-sized batches across the
-// worker pool with hooks.OnBatch observing each batch — the same
-// durability seams as CollectResumable, applied to the online
-// trajectory's adaptive batches.
-func (t *Tuner) runOnlineRows(ctx context.Context, base int, jobs []Job, phase string, hooks OnlineHooks, workers int) ([]float64, error) {
-	times := make([]float64, len(jobs))
-	fresh := make([]int, 0, len(jobs))
-	for i := range jobs {
-		if hooks.Known != nil {
-			if sec, ok := hooks.Known(base + i); ok {
-				times[i] = sec
-				continue
-			}
-		}
-		fresh = append(fresh, i)
-	}
-	known := len(jobs) - len(fresh)
-	if known > 0 {
-		t.Obs.Counter("core.online.resumed.rows").Add(int64(known))
-	}
-	var done atomic.Int64
-	done.Store(int64(known))
-	if hooks.Progress != nil {
-		hooks.Progress(phase, known, len(jobs))
-	}
-
-	if len(fresh) > 0 {
-		batches := make(chan []int, (len(fresh)+onlineBatchRows-1)/onlineBatchRows)
-		for lo := 0; lo < len(fresh); lo += onlineBatchRows {
-			hi := lo + onlineBatchRows
-			if hi > len(fresh) {
-				hi = len(fresh)
-			}
-			batches <- fresh[lo:hi]
-		}
-		close(batches)
-		if workers > len(fresh) {
-			workers = len(fresh)
-		}
-		if workers < 1 {
-			workers = 1
-		}
-		be, batched := t.Exec.(BatchExecutor)
-		var wg sync.WaitGroup
-		for c := 0; c < workers; c++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var jbuf []Job
-				for idx := range batches {
-					if ctx.Err() != nil {
-						return // abandon; completed batches are already journaled
-					}
-					jbuf = jbuf[:0]
-					for _, i := range idx {
-						jbuf = append(jbuf, jobs[i])
-					}
-					var sec []float64
-					if batched {
-						sec = be.ExecuteBatch(jbuf)
-					} else {
-						sec = make([]float64, len(jbuf))
-						for k, j := range jbuf {
-							sec[k] = t.Exec.Execute(j.Cfg, j.DsizeMB)
-						}
-					}
-					rows := make([]RowTime, len(idx))
-					for k, i := range idx {
-						times[i] = sec[k]
-						rows[k] = RowTime{Index: base + i, Job: jobs[i], TimeSec: sec[k]}
-					}
-					if hooks.OnBatch != nil {
-						hooks.OnBatch(rows)
-					}
-					n := done.Add(int64(len(idx)))
-					if hooks.Progress != nil {
-						hooks.Progress(phase, int(n), len(jobs))
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: online tuning interrupted: %w", err)
-		}
-		t.Obs.Counter("core.online.runs").Add(int64(len(fresh)))
-	}
-	for i, sec := range times {
-		if sec <= 0 || math.IsNaN(sec) || math.IsInf(sec, 0) {
-			return nil, fmt.Errorf("core: execution %d returned time %v", base+i, sec)
-		}
-	}
-	return times, nil
 }
 
 // screenParams ranks the model's configuration-parameter importances
@@ -578,12 +479,7 @@ func (t *Tuner) searchSubspace(m model.Model, ss *conf.SubSpace, set *dataset.Se
 		return m.Predict(x)
 	}
 	start := time.Now()
-	var res ga.Result
-	if opt.Searcher != nil {
-		res = runSearcher(opt.Searcher, ss.Tunable, obj, subspaceSeeds(ss, set), gaOpt)
-	} else {
-		res = ga.Minimize(ss.Tunable, obj, subspaceSeeds(ss, set), gaOpt)
-	}
+	res := runSearcher(opt.Searcher, ss.Tunable, obj, subspaceSeeds(ss, set), gaOpt)
 	elapsed := time.Since(start).Seconds()
 	if res.BestFitness >= guardPenalty {
 		return onlineSearch{}, fmt.Errorf("core: the safety guard rejected every candidate in the screened subspace")

@@ -66,7 +66,7 @@ func TestTuneOnlineShapes(t *testing.T) {
 	tuner, w, rec := onlineTuner(t, "TS")
 	oo := quickOnline()
 	target := w.InputMB(30)
-	res, err := tuner.TuneOnline(context.Background(), w.InputMB(10), w.InputMB(50), target, oo, OnlineHooks{})
+	res, err := tuner.TuneOnline(context.Background(), w.InputMB(10), w.InputMB(50), target, oo, RowHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestTuneOnlineShapes(t *testing.T) {
 func TestTuneOnlineDeterministic(t *testing.T) {
 	run := func() (*OnlineResult, []byte) {
 		tuner, w, _ := onlineTuner(t, "WC")
-		res, err := tuner.TuneOnline(context.Background(), w.InputMB(10), w.InputMB(50), w.InputMB(30), quickOnline(), OnlineHooks{})
+		res, err := tuner.TuneOnline(context.Background(), w.InputMB(10), w.InputMB(50), w.InputMB(30), quickOnline(), RowHooks{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,8 +160,8 @@ func TestTuneOnlineResume(t *testing.T) {
 	target := w.InputMB(30)
 	var mu sync.Mutex
 	journal := make(map[int]float64)
-	res, err := tuner.TuneOnline(context.Background(), w.InputMB(10), w.InputMB(50), target, oo, OnlineHooks{
-		OnBatch: func(rows []RowTime) {
+	res, err := tuner.TuneOnline(context.Background(), w.InputMB(10), w.InputMB(50), target, oo, RowHooks{
+		OnBatch: func(rows []RowTime) error {
 			mu.Lock()
 			defer mu.Unlock()
 			for _, r := range rows {
@@ -170,6 +170,7 @@ func TestTuneOnlineResume(t *testing.T) {
 				}
 				journal[r.Index] = r.TimeSec
 			}
+			return nil
 		},
 	})
 	if err != nil {
@@ -196,7 +197,7 @@ func TestTuneOnlineResume(t *testing.T) {
 				want++
 			}
 		}
-		res2, err := tuner2.TuneOnline(context.Background(), w.InputMB(10), w.InputMB(50), target, oo, OnlineHooks{
+		res2, err := tuner2.TuneOnline(context.Background(), w.InputMB(10), w.InputMB(50), target, oo, RowHooks{
 			Known: func(i int) (float64, bool) {
 				if !keep(i) {
 					return 0, false
@@ -242,7 +243,7 @@ func TestTuneOnlineGuard(t *testing.T) {
 	}
 	oo.Guard = guard
 	target := w.InputMB(30)
-	res, err := tuner.TuneOnline(context.Background(), w.InputMB(10), w.InputMB(50), target, oo, OnlineHooks{})
+	res, err := tuner.TuneOnline(context.Background(), w.InputMB(10), w.InputMB(50), target, oo, RowHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,12 +296,12 @@ func TestSimOOMGuard(t *testing.T) {
 
 func TestTuneOnlineValidation(t *testing.T) {
 	tuner, w, _ := onlineTuner(t, "TS")
-	if _, err := tuner.TuneOnline(context.Background(), w.InputMB(10), w.InputMB(50), 0, quickOnline(), OnlineHooks{}); err == nil {
+	if _, err := tuner.TuneOnline(context.Background(), w.InputMB(10), w.InputMB(50), 0, quickOnline(), RowHooks{}); err == nil {
 		t.Error("zero target size accepted")
 	}
 	bad := quickOnline()
 	bad.ScreenSamples = 5
-	if _, err := tuner.TuneOnline(context.Background(), w.InputMB(10), w.InputMB(50), w.InputMB(30), bad, OnlineHooks{}); err == nil {
+	if _, err := tuner.TuneOnline(context.Background(), w.InputMB(10), w.InputMB(50), w.InputMB(30), bad, RowHooks{}); err == nil {
 		t.Error("tiny screening sample accepted")
 	}
 }

@@ -35,9 +35,10 @@ func collect(sc Scale, w *workloads.Workload, n int, simSeed, seed int64) *datas
 		Exec:  core.NewSimExecutor(sim, &w.Program),
 		Opt:   core.Options{NTrain: n, Seed: seed, Sampler: conf.UniformSampler{}},
 	}
-	set, _, err := tuner.CollectResumable(context.Background(), trainingSizes(w), core.CollectHooks{
-		OnBatch: func([]core.RowTime) {
+	set, _, err := tuner.CollectResumable(context.Background(), trainingSizes(w), core.RowHooks{
+		OnBatch: func([]core.RowTime) error {
 			sc.Obs.Counter("experiments.collect.batches").Inc()
+			return nil
 		},
 	})
 	if err != nil {

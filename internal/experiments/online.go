@@ -95,7 +95,7 @@ func OnlineVsDAC(sc Scale, abbrs []string) []OnlineOutcome {
 
 		oo := OnlineBudget(sc)
 		oo.Guard = core.SimOOMGuard(sc.Cluster, &w.Program, 0)
-		online, err := newTuner().TuneOnline(context.Background(), lo, hi, target, oo, core.OnlineHooks{})
+		online, err := newTuner().TuneOnline(context.Background(), lo, hi, target, oo, core.RowHooks{})
 		if err != nil {
 			panic(fmt.Sprintf("experiments: online tuning %s: %v", w.Name, err))
 		}

@@ -83,14 +83,11 @@ func Searchers(sc Scale, abbrs []string) []SearcherOutcome {
 			Evals:        make(map[string]int, len(names)),
 		}
 		for _, name := range names {
-			t.Opt.Searcher = nil // "ga" takes the built-in default path
-			if name != "ga" {
-				s, err := reg.Lookup(name)
-				if err != nil {
-					panic(fmt.Sprintf("experiments: searcher %s: %v", name, err))
-				}
-				t.Opt.Searcher = s
+			s, err := reg.Lookup(name)
+			if err != nil {
+				panic(fmt.Sprintf("experiments: searcher %s: %v", name, err))
 			}
+			t.Opt.Searcher = s
 			cfg, pred, res, _, err := t.Search(m, target, nil)
 			if err != nil {
 				panic(fmt.Sprintf("experiments: searching %s with %s: %v", w.Name, name, err))
@@ -99,7 +96,6 @@ func Searchers(sc Scale, abbrs []string) []SearcherOutcome {
 			o.PredictedSec[name] = pred
 			o.Evals[name] = res.Evaluations
 		}
-		t.Opt.Searcher = nil
 		out = append(out, o)
 	}
 	return out

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -41,10 +40,10 @@ type WorkerOptions struct {
 	// Token is the shared secret sent as a Bearer token when the daemon
 	// runs with -auth-token; empty sends none.
 	Token string
-	// Parallelism bounds the goroutines executing one chunk (default
-	// GOMAXPROCS via the executor's own batching; 1 keeps it serial).
-	// Results are index-ordered either way — run times are a pure
-	// function of each row's spec.
+	// Parallelism bounds the goroutines executing one chunk (0 and 1
+	// keep it serial; `dac worker` defaults it to GOMAXPROCS). Results
+	// are index-ordered either way — run times are a pure function of
+	// each row's spec.
 	Parallelism int
 	// Client overrides the HTTP client (tests); nil uses a 30s-timeout
 	// default.
@@ -353,59 +352,29 @@ func sleep(ctx context.Context, d time.Duration) bool {
 // simulator wiring as the daemon's local path (sparksim on the standard
 // cluster at seed+7, the workload's program, core.CollectJobs for the
 // row list), so a worker's times are bit-identical to local execution.
+// Each chunk runs through core.Tuner.ExecuteRows across parallelism
+// goroutines (minimum 1).
 func SimRunner(spec SweepSpec, parallelism int) (RunnerFunc, error) {
 	wl, err := workloads.ByAbbr(spec.Workload)
 	if err != nil {
 		return nil, err
 	}
 	sim := sparksim.New(cluster.Standard(), spec.Seed+7)
-	exec := core.NewSimExecutor(sim, &wl.Program)
 	t := &core.Tuner{
 		Space: conf.StandardSpace(),
-		Exec:  exec,
-		Opt:   core.Options{NTrain: spec.NTrain, Seed: spec.Seed},
+		Exec:  core.NewSimExecutor(sim, &wl.Program),
+		Opt:   core.Options{NTrain: spec.NTrain, Seed: spec.Seed, Parallelism: max(parallelism, 1)},
 	}
 	jobs := t.CollectJobs(spec.SizesMB)
-	if parallelism < 1 {
-		parallelism = 1
-	}
 	return func(ctx context.Context, indices []int) ([]ResultRow, error) {
-		if !sort.IntsAreSorted(indices) {
-			return nil, fmt.Errorf("fleet: chunk indices not ascending")
-		}
-		chunk := make([]core.Job, len(indices))
-		for i, idx := range indices {
-			if idx < 0 || idx >= len(jobs) {
-				return nil, fmt.Errorf("fleet: chunk index %d outside sweep of %d rows", idx, len(jobs))
-			}
-			chunk[i] = jobs[idx]
-		}
-		rows := make([]ResultRow, len(indices))
-		// Split the chunk across parallelism goroutines; each sub-batch
-		// goes through ExecuteBatch (concurrency-safe, pooled scratch).
-		per := (len(chunk) + parallelism - 1) / parallelism
-		var wg sync.WaitGroup
-		for lo := 0; lo < len(chunk); lo += per {
-			hi := lo + per
-			if hi > len(chunk) {
-				hi = len(chunk)
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				if ctx.Err() != nil {
-					return
-				}
-				times := exec.ExecuteBatch(chunk[lo:hi])
-				for i, sec := range times {
-					rows[lo+i] = ResultRow{Index: indices[lo+i], TimeSec: sec}
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
+		rows, err := t.ExecuteRows(ctx, jobs, indices)
+		if err != nil {
 			return nil, err
 		}
-		return rows, nil
+		out := make([]ResultRow, len(rows))
+		for i, r := range rows {
+			out[i] = ResultRow{Index: r.Index, TimeSec: r.TimeSec}
+		}
+		return out, nil
 	}, nil
 }

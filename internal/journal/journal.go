@@ -180,7 +180,7 @@ func cutLast(s string, sep byte) (before, after string, found bool) {
 	return s, "", false
 }
 
-// Known reports row idx's journaled time — core.CollectHooks.Known's
+// Known reports row idx's journaled time — core.RowHooks.Known's
 // shape.
 func (j *Journal) Known(idx int) (float64, bool) {
 	j.mu.Lock()

@@ -34,6 +34,9 @@ type Result struct {
 	// batch) for searchers that proceed in rounds; nil for the
 	// single-sweep searchers.
 	History []float64
+	// CacheHits counts candidates a memoizing searcher replayed from
+	// Options.Cache instead of evaluating.
+	CacheHits int
 }
 
 // CountEvals wraps obj so every evaluation increments the named counter

@@ -212,5 +212,6 @@ func (g GASearcher) Search(space *conf.Space, obj Objective, opt Options) Result
 		BestFitness: res.BestFitness,
 		History:     res.History,
 		Evaluations: res.Evaluations,
+		CacheHits:   res.CacheHits,
 	}
 }

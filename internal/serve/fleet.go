@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -23,12 +22,13 @@ func (m *Manager) Fleet() *fleet.Coordinator { return m.fleet }
 
 // collectFleet is collectDurable's sharded path: the sweep's pending
 // rows run on the fleet via the coordinator, merged rows land in the
-// same journal the local path uses, and the finished journal compacts to
-// its canonical index-sorted form before the set is built. The resulting
-// set is byte-identical to the local path's — rows times are a pure
-// function of each row's spec, and the set is assembled in index order
-// from the journal regardless of which worker produced each row.
-func (m *Manager) collectFleet(ctx context.Context, id int64, t *core.Tuner, w *workloads.Workload, sizes []float64, jl *Journal) (*dataset.Set, core.Overhead, error) {
+// same journal through the same hooks the local path uses, and the
+// finished journal compacts to its canonical index-sorted form before the
+// set is built. The resulting set is byte-identical to the local path's —
+// row times are a pure function of each row's spec, and the set is
+// assembled by the row engine in index order from the journal regardless
+// of which worker produced each row.
+func (m *Manager) collectFleet(ctx context.Context, id int64, t *core.Tuner, w *workloads.Workload, sizes []float64, jl *Journal, hooks core.RowHooks) (*dataset.Set, core.Overhead, error) {
 	spec := fleet.SweepSpec{
 		Workload: w.Abbr,
 		Seed:     t.Opt.Seed,
@@ -39,22 +39,13 @@ func (m *Manager) collectFleet(ctx context.Context, id int64, t *core.Tuner, w *
 	jobs := t.CollectJobs(sizes)
 	m.obs.Counter("serve.collect.fleet.sweeps").Inc()
 	err := m.fleet.RunSweep(ctx, id, spec, fleet.SweepHooks{
-		Known: jl.Known,
-		OnRows: func(rows []core.RowTime) error {
-			if err := jl.Append(rows); err != nil {
-				return err
-			}
-			m.obs.Counter("serve.collect.checkpoints").Inc()
-			if m.testBatchHook != nil {
-				m.testBatchHook(jl.Rows())
-			}
-			return nil
-		},
+		Known:  hooks.Known,
+		OnRows: hooks.OnBatch,
 		Progress: func(done, total int) {
-			m.setProgress(id, Progress{Phase: "collect", Done: done, Total: total})
+			hooks.Progress("collect", done, total)
 		},
 		RunLocal: func(ctx context.Context, indices []int) ([]core.RowTime, error) {
-			return t.ExecuteRows(jobs, indices)
+			return t.ExecuteRows(ctx, jobs, indices)
 		},
 	})
 	if err != nil {
@@ -70,21 +61,11 @@ func (m *Manager) collectFleet(ctx context.Context, id int64, t *core.Tuner, w *
 	m.obs.Counter("serve.journal.compactions").Inc()
 	m.obs.Counter("serve.journal.compact.dropped").Add(int64(dropped))
 
-	// Build the set exactly as the local collector does: every row in
-	// index order, times from the journal.
-	set := dataset.NewSet(t.Space)
-	var clusterSec float64
-	for i, j := range jobs {
-		sec, ok := jl.Known(i)
-		if !ok {
-			return nil, core.Overhead{}, fmt.Errorf("serve: fleet sweep finished but row %d missing from journal", i)
-		}
-		if sec <= 0 || math.IsNaN(sec) || math.IsInf(sec, 0) {
-			return nil, core.Overhead{}, fmt.Errorf("serve: execution %d returned time %v", i, sec)
-		}
-		set.Add(j.Cfg, j.DsizeMB, sec)
-		clusterSec += sec
+	// Build the set through the row engine with every row known: nothing
+	// executes, and the times are validated and gathered exactly as the
+	// local collector does.
+	if n := jl.Rows(); n < len(jobs) {
+		return nil, core.Overhead{}, fmt.Errorf("serve: fleet sweep finished with %d of %d rows journaled", n, len(jobs))
 	}
-	m.obs.Float("core.collect.cluster.sec").Add(clusterSec)
-	return set, core.Overhead{CollectClusterHours: clusterSec / 3600}, nil
+	return t.CollectResumable(ctx, sizes, core.RowHooks{Known: jl.Known})
 }

@@ -731,15 +731,12 @@ func (m *Manager) tunerFor(w *workloads.Workload, spec JobSpec) *core.Tuner {
 			opt.BackendTrain = model.TrainOpts{Quick: spec.Quick, Trees: spec.HMTrees}
 		}
 	}
-	if name := spec.searcher(); name != "ga" {
-		// Route the searching stage through the selected searcher; the ga
-		// default keeps the tuner's built-in GA path (bit-identical to
-		// the CLI). The seed slot (Seed+2) and training-set population
-		// seeds are shared by every searcher.
-		s, err := search.Default().Lookup(name)
-		if err == nil { // unknown names were rejected at Submit
-			opt.Searcher = s
-		}
+	// Every searcher, the default ga included, shares the seed slot
+	// (Seed+2), the training-set population seeds, and the GA budget
+	// above; the registry's ga carries these GA options, so the default
+	// path is bit-identical to the CLI's.
+	if sr, err := search.Default().Lookup(spec.searcher()); err == nil { // unknown names were rejected at Submit
+		opt.Searcher = sr
 	}
 	return &core.Tuner{
 		Space: conf.StandardSpace(),
@@ -762,85 +759,120 @@ func (spec JobSpec) targetMB(w *workloads.Workload) float64 {
 	return w.InputMB(units)
 }
 
-// execute dispatches one job to its pipeline slice.
+// execute dispatches one job to its pipeline slice. Every slice but
+// train (which reads a finished collect's CSV) runs against the spec's
+// workload and a tuner wired like the CLI's; both resolve once, here.
 func (m *Manager) execute(ctx context.Context, id int64, spec JobSpec) (any, error) {
+	if spec.Type == JobTrain {
+		return m.runTrain(ctx, id, spec)
+	}
+	w, err := workloads.ByAbbr(strings.ToUpper(spec.Workload))
+	if err != nil {
+		return nil, err
+	}
+	t := m.tunerFor(w, spec)
 	switch spec.Type {
 	case JobCollect:
-		return m.runCollect(ctx, id, spec)
-	case JobTrain:
-		return m.runTrain(ctx, id, spec)
+		return m.runCollect(ctx, id, t, w)
 	case JobSearch:
-		return m.runSearch(ctx, id, spec)
+		return m.runSearch(ctx, id, spec, t, w)
 	case JobTune:
-		return m.runTune(ctx, id, spec)
+		return m.runTune(ctx, id, spec, t, w)
 	case JobTuneOnline:
-		return m.runTuneOnline(ctx, id, spec)
+		return m.runTuneOnline(ctx, id, spec, t, w)
 	}
 	return nil, fmt.Errorf("serve: unknown job type %q", spec.Type)
 }
 
-// collectDurable runs the journal-backed collect sweep for a job: known
-// rows replay from the journal, fresh batches append to it before they
-// count as done. Returns the finished set.
-func (m *Manager) collectDurable(ctx context.Context, id int64, spec JobSpec, t *core.Tuner, w *workloads.Workload) (*dataset.Set, core.Overhead, error) {
+// jobJournal opens job id's row journal for the row sequence meta
+// identifies, and builds the row hooks that journal through it: known
+// rows replay from the journal, and each fresh batch appends (and
+// fsyncs) before it counts as done — a failed append stops the sweep.
+// Progress lands on the job. kind names the counters:
+// serve.<kind>.resumed.rows counts the rows the journal already held,
+// serve.<kind>.checkpoints each appended batch. Collect, tune_online,
+// and the fleet merge all journal through these hooks.
+func (m *Manager) jobJournal(id int64, meta, kind string) (*Journal, core.RowHooks, error) {
+	jl, err := OpenJournal(filepath.Join(m.dataDir, "journals", fmt.Sprintf("job-%d.journal", id)), meta)
+	if err != nil {
+		return nil, core.RowHooks{}, err
+	}
+	if n := jl.Rows(); n > 0 {
+		m.obs.Counter("serve." + kind + ".resumed.rows").Add(int64(n))
+	}
+	checkpoints := m.obs.Counter("serve." + kind + ".checkpoints")
+	return jl, core.RowHooks{
+		Known: jl.Known,
+		OnBatch: func(rows []core.RowTime) error {
+			if err := jl.Append(rows); err != nil {
+				return fmt.Errorf("serve: journal append: %w", err)
+			}
+			checkpoints.Inc()
+			if m.testBatchHook != nil {
+				m.testBatchHook(jl.Rows())
+			}
+			return nil
+		},
+		Progress: func(phase string, done, total int) {
+			m.setProgress(id, Progress{Phase: phase, Done: done, Total: total})
+		},
+	}, nil
+}
+
+// collectDurable runs the journal-backed collect sweep for a job and
+// returns the finished set.
+func (m *Manager) collectDurable(ctx context.Context, id int64, t *core.Tuner, w *workloads.Workload) (*dataset.Set, core.Overhead, error) {
 	lo, hi := trainingRange(w)
 	sizes := t.TrainingSizesMB(lo, hi)
-	jp := filepath.Join(m.dataDir, "journals", fmt.Sprintf("job-%d.journal", id))
-	jl, err := OpenJournal(jp, MetaHash(w.Abbr, t.Opt.Seed, t.Opt.NTrain, sizes))
+	jl, hooks, err := m.jobJournal(id, MetaHash(w.Abbr, t.Opt.Seed, t.Opt.NTrain, sizes), "collect")
 	if err != nil {
 		return nil, core.Overhead{}, err
 	}
 	defer jl.Close()
-	if n := jl.Rows(); n > 0 {
-		m.obs.Counter("serve.collect.resumed.rows").Add(int64(n))
-	}
 	// Dispatch: a coordinator with live workers shards the sweep across
 	// the fleet; otherwise the local worker pool runs it. Both paths
 	// journal into jl and produce byte-identical sets (DESIGN.md §15).
 	if m.fleet != nil && m.fleet.LiveWorkers() > 0 {
-		return m.collectFleet(ctx, id, t, w, sizes, jl)
+		return m.collectFleet(ctx, id, t, w, sizes, jl, hooks)
 	}
-	var appendErr error
-	var appendMu sync.Mutex
-	set, ov, err := t.CollectResumable(ctx, sizes, core.CollectHooks{
-		Known: jl.Known,
-		OnBatch: func(rows []core.RowTime) {
-			if err := jl.Append(rows); err != nil {
-				appendMu.Lock()
-				if appendErr == nil {
-					appendErr = err
-				}
-				appendMu.Unlock()
-			}
-			m.obs.Counter("serve.collect.checkpoints").Inc()
-			if m.testBatchHook != nil {
-				m.testBatchHook(jl.Rows())
-			}
-		},
-		Progress: func(done, total int) {
-			m.setProgress(id, Progress{Phase: "collect", Done: done, Total: total})
-		},
+	return t.CollectResumable(ctx, sizes, hooks)
+}
+
+// registerModel saves a tuned model under the spec's registry name and
+// records the entry in out, so later search jobs (and warm starts) reuse
+// it without paying the collect again. A backend without the Saver
+// capability skips registration; the tuned configuration is still the
+// job's result.
+func (m *Manager) registerModel(id int64, spec JobSpec, w *workloads.Workload, mdl model.Model, ntrain int, out map[string]any) error {
+	b, _ := m.models.Backends().Lookup(spec.backend()) // unknown names were rejected at Submit
+	if _, ok := b.(model.Saver); !ok {
+		return nil
+	}
+	name := spec.modelName(w)
+	version, err := m.models.Save(name, mdl, ModelMeta{
+		Backend:     spec.backend(),
+		Workload:    w.Abbr,
+		Seed:        spec.seed(),
+		NTrain:      ntrain,
+		Job:         id,
+		CreatedUnix: time.Now().Unix(),
 	})
 	if err != nil {
-		return nil, core.Overhead{}, err
+		return err
 	}
-	if appendErr != nil {
-		return nil, core.Overhead{}, fmt.Errorf("serve: journal append: %w", appendErr)
-	}
-	return set, ov, nil
+	m.obs.Counter("serve.models.saved").Inc()
+	out["model"] = name
+	out["model_version"] = version
+	out["backend"] = spec.backend()
+	return nil
 }
 
 func (m *Manager) collectCSVPath(id int64) string {
 	return filepath.Join(m.dataDir, "collect", fmt.Sprintf("job-%d.csv", id))
 }
 
-func (m *Manager) runCollect(ctx context.Context, id int64, spec JobSpec) (any, error) {
-	w, err := workloads.ByAbbr(strings.ToUpper(spec.Workload))
-	if err != nil {
-		return nil, err
-	}
-	t := m.tunerFor(w, spec)
-	set, ov, err := m.collectDurable(ctx, id, spec, t, w)
+func (m *Manager) runCollect(ctx context.Context, id int64, t *core.Tuner, w *workloads.Workload) (any, error) {
+	set, ov, err := m.collectDurable(ctx, id, t, w)
 	if err != nil {
 		return nil, err
 	}
@@ -950,11 +982,7 @@ func (m *Manager) runTrain(ctx context.Context, id int64, spec JobSpec) (any, er
 	return out, nil
 }
 
-func (m *Manager) runSearch(ctx context.Context, id int64, spec JobSpec) (any, error) {
-	w, err := workloads.ByAbbr(strings.ToUpper(spec.Workload))
-	if err != nil {
-		return nil, err
-	}
+func (m *Manager) runSearch(ctx context.Context, id int64, spec JobSpec, t *core.Tuner, w *workloads.Workload) (any, error) {
 	mdl, meta, err := m.models.Load(spec.modelName(w), spec.ModelVersion)
 	if err != nil {
 		return nil, err
@@ -964,7 +992,6 @@ func (m *Manager) runSearch(ctx context.Context, id int64, spec JobSpec) (any, e
 	}
 	targetMB := spec.targetMB(w)
 	m.setProgress(id, Progress{Phase: "search"})
-	t := m.tunerFor(w, spec)
 	// Identical (model version, dsize) searches share genome fitness
 	// values: repeated idempotent search traffic replays instead of
 	// re-evaluating.
@@ -986,13 +1013,8 @@ func (m *Manager) runSearch(ctx context.Context, id int64, spec JobSpec) (any, e
 	}, nil
 }
 
-func (m *Manager) runTune(ctx context.Context, id int64, spec JobSpec) (any, error) {
-	w, err := workloads.ByAbbr(strings.ToUpper(spec.Workload))
-	if err != nil {
-		return nil, err
-	}
-	t := m.tunerFor(w, spec)
-	set, ovC, err := m.collectDurable(ctx, id, spec, t, w)
+func (m *Manager) runTune(ctx context.Context, id int64, spec JobSpec, t *core.Tuner, w *workloads.Workload) (any, error) {
+	set, ovC, err := m.collectDurable(ctx, id, t, w)
 	if err != nil {
 		return nil, err
 	}
@@ -1015,29 +1037,8 @@ func (m *Manager) runTune(ctx context.Context, id int64, spec JobSpec) (any, err
 		"predicted_sec": res.PredictedSec[targetMB],
 		"cluster_hours": res.Overhead.CollectClusterHours,
 	}
-	// Register the tuned model so later search jobs (and warm starts)
-	// reuse it without paying the collect again. A backend without the
-	// Saver capability skips registration; the tuned configuration above
-	// is still the job's result.
-	if b, lookupErr := m.models.Backends().Lookup(spec.backend()); lookupErr == nil {
-		if _, ok := b.(model.Saver); ok {
-			name := spec.modelName(w)
-			version, err := m.models.Save(name, res.Model, ModelMeta{
-				Backend:     spec.backend(),
-				Workload:    w.Abbr,
-				Seed:        spec.seed(),
-				NTrain:      set.Len(),
-				Job:         id,
-				CreatedUnix: time.Now().Unix(),
-			})
-			if err != nil {
-				return nil, err
-			}
-			m.obs.Counter("serve.models.saved").Inc()
-			out["model"] = name
-			out["model_version"] = version
-			out["backend"] = spec.backend()
-		}
+	if err := m.registerModel(id, spec, w, res.Model, set.Len(), out); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -1072,12 +1073,7 @@ func (spec JobSpec) onlineOptions() core.OnlineOptions {
 // sparksim-backed OOM guard, journaling every measured run: the
 // trajectory is a pure function of the spec, so a restarted daemon
 // replays journaled rows and lands on the identical final configuration.
-func (m *Manager) runTuneOnline(ctx context.Context, id int64, spec JobSpec) (any, error) {
-	w, err := workloads.ByAbbr(strings.ToUpper(spec.Workload))
-	if err != nil {
-		return nil, err
-	}
-	t := m.tunerFor(w, spec)
+func (m *Manager) runTuneOnline(ctx context.Context, id int64, spec JobSpec, t *core.Tuner, w *workloads.Workload) (any, error) {
 	oo := spec.onlineOptions()
 	oo.Guard = core.SimOOMGuard(cluster.Standard(), &w.Program, 0)
 	targetMB := spec.targetMB(w)
@@ -1091,41 +1087,14 @@ func (m *Manager) runTuneOnline(ctx context.Context, id int64, spec JobSpec) (an
 	onlineID := fmt.Sprintf("online:%s:%d:%d:%d:%d:%s", w.Abbr,
 		oo.ScreenSamples, oo.TopK, oo.Iterations, oo.IterBatch,
 		strconv.FormatFloat(targetMB, 'g', -1, 64))
-	jp := filepath.Join(m.dataDir, "journals", fmt.Sprintf("job-%d.journal", id))
-	jl, err := OpenJournal(jp, MetaHash(onlineID, t.Opt.Seed, oo.ScreenSamples+oo.Iterations*oo.IterBatch+1, sizes))
+	jl, hooks, err := m.jobJournal(id, MetaHash(onlineID, t.Opt.Seed, oo.ScreenSamples+oo.Iterations*oo.IterBatch+1, sizes), "online")
 	if err != nil {
 		return nil, err
 	}
 	defer jl.Close()
-	if n := jl.Rows(); n > 0 {
-		m.obs.Counter("serve.online.resumed.rows").Add(int64(n))
-	}
-	var appendErr error
-	var appendMu sync.Mutex
-	res, err := t.TuneOnline(ctx, lo, hi, targetMB, oo, core.OnlineHooks{
-		Known: jl.Known,
-		OnBatch: func(rows []core.RowTime) {
-			if err := jl.Append(rows); err != nil {
-				appendMu.Lock()
-				if appendErr == nil {
-					appendErr = err
-				}
-				appendMu.Unlock()
-			}
-			m.obs.Counter("serve.online.checkpoints").Inc()
-			if m.testBatchHook != nil {
-				m.testBatchHook(jl.Rows())
-			}
-		},
-		Progress: func(phase string, done, total int) {
-			m.setProgress(id, Progress{Phase: phase, Done: done, Total: total})
-		},
-	})
+	res, err := t.TuneOnline(ctx, lo, hi, targetMB, oo, hooks)
 	if err != nil {
 		return nil, err
-	}
-	if appendErr != nil {
-		return nil, fmt.Errorf("serve: journal append: %w", appendErr)
 	}
 
 	iters := make([]map[string]any, len(res.Iterations))
@@ -1154,25 +1123,8 @@ func (m *Manager) runTuneOnline(ctx context.Context, id int64, spec JobSpec) (an
 	}
 	// Register the final refit model like tune does, so search jobs and
 	// warm starts can pick up where the online loop left off.
-	if b, lookupErr := m.models.Backends().Lookup(spec.backend()); lookupErr == nil {
-		if _, ok := b.(model.Saver); ok {
-			name := spec.modelName(w)
-			version, err := m.models.Save(name, res.Model, ModelMeta{
-				Backend:     spec.backend(),
-				Workload:    w.Abbr,
-				Seed:        spec.seed(),
-				NTrain:      res.Set.Len(),
-				Job:         id,
-				CreatedUnix: time.Now().Unix(),
-			})
-			if err != nil {
-				return nil, err
-			}
-			m.obs.Counter("serve.models.saved").Inc()
-			out["model"] = name
-			out["model_version"] = version
-			out["backend"] = spec.backend()
-		}
+	if err := m.registerModel(id, spec, w, res.Model, res.Set.Len(), out); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

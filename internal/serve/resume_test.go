@@ -63,15 +63,16 @@ func runJournaledCollect(t *testing.T, tuner *core.Tuner, sizes []float64, path,
 	defer jl.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	set, _, err := tuner.CollectResumable(ctx, sizes, core.CollectHooks{
+	set, _, err := tuner.CollectResumable(ctx, sizes, core.RowHooks{
 		Known: jl.Known,
-		OnBatch: func(rows []core.RowTime) {
+		OnBatch: func(rows []core.RowTime) error {
 			if err := jl.Append(rows); err != nil {
 				t.Error(err)
 			}
 			if killAfter > 0 && jl.Rows() >= killAfter {
 				cancel() // the "SIGKILL": no further batches run
 			}
+			return nil
 		},
 		BatchRows: 8,
 	})
@@ -122,12 +123,12 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				set, _, err := tuner.CollectResumable(context.Background(), sizes, core.CollectHooks{
+				set, _, err := tuner.CollectResumable(context.Background(), sizes, core.RowHooks{
 					Known: func(i int) (float64, bool) {
 						sec, ok := jl2.Known(i)
 						return sec, ok
 					},
-					OnBatch: func(rows []core.RowTime) {
+					OnBatch: func(rows []core.RowTime) error {
 						for _, r := range rows {
 							if _, ok := jl2.Known(r.Index); ok {
 								reruns.Add(1)
@@ -136,6 +137,7 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 						if err := jl2.Append(rows); err != nil {
 							t.Error(err)
 						}
+						return nil
 					},
 					BatchRows: 8,
 				})
