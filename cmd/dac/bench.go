@@ -22,21 +22,16 @@ import (
 	"repro/internal/workloads"
 )
 
-// benchResult is one serial-versus-optimized measurement pair.
+// benchResult is one operation's absolute cost on the production path.
 type benchResult struct {
-	Name       string  `json:"name"`
-	SerialNs   int64   `json:"serial_ns_per_op"`
-	ParallelNs int64   `json:"parallel_ns_per_op"`
-	Speedup    float64 `json:"speedup"`
+	Name    string `json:"name"`
+	NsPerOp int64  `json:"ns_per_op"`
 }
 
 // benchEnv is the wall-clock context a benchmark ran under, shared by
-// the BENCH_model.json and BENCH_serve.json schemas. Speedups are only
-// comparable between runs whose env matches: the hm_fit and rf_fit
-// pairs parallelize across cores, so on a single-core runner their
-// speedup reflects only the batched-update wins, while ga_search,
-// predict_batch and tree_grow gain from cache locality and algorithmic
-// cuts regardless of core count.
+// the BENCH_model.json and BENCH_serve.json schemas. Numbers are only
+// comparable between runs whose env matches: hm_fit, rf_fit and
+// ga_search parallelize across cores.
 type benchEnv struct {
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	NumCPU     int    `json:"numcpu"`
@@ -56,8 +51,8 @@ func currentBenchEnv() benchEnv {
 type benchReport struct {
 	benchEnv
 	Quick bool `json:"quick"`
-	// Model is the backend the predict_batch and ga_search pairs query
-	// (-model flag; default hm).
+	// Model is the backend predict_batch and ga_search query (-model
+	// flag; default hm).
 	Model   string        `json:"model"`
 	Results []benchResult `json:"results"`
 }
@@ -109,48 +104,36 @@ func benchSpaceModel(backendName string, trees int, window int, quick bool) (mod
 	return b.Train(ds, model.TrainOpts{Seed: 1, Quick: quick})
 }
 
-// benchRounds is how many interleaved rounds runPair measures per side.
-// Each side reports its best round: the minimum is the standard
-// estimator for noisy shared boxes, where one slow round (GC, a
-// neighbor stealing the core) would otherwise flip a small real speedup
-// into an apparent regression. Interleaving (s,p,s,p,...) keeps slow
-// phases of the machine from landing entirely on one side.
+// benchRounds is how many rounds runBench measures. It reports the best
+// round: the minimum is the standard estimator for noisy shared boxes,
+// where one slow round (GC, a neighbor stealing the core) would
+// otherwise read as a regression.
 const benchRounds = 3
 
-// runPair benchmarks the serial reference against the optimized path.
-func runPair(name string, serial, parallel func(b *testing.B)) benchResult {
-	best := func(r, prev int64) int64 {
-		if prev == 0 || r < prev {
-			return r
-		}
-		return prev
-	}
-	var sNs, pNs int64
+// runBench measures one operation on the production path.
+func runBench(name string, op func(b *testing.B)) benchResult {
+	res := benchResult{Name: name}
 	for r := 0; r < benchRounds; r++ {
-		sNs = best(testing.Benchmark(serial).NsPerOp(), sNs)
-		pNs = best(testing.Benchmark(parallel).NsPerOp(), pNs)
+		if ns := testing.Benchmark(op).NsPerOp(); res.NsPerOp == 0 || ns < res.NsPerOp {
+			res.NsPerOp = ns
+		}
 	}
-	res := benchResult{Name: name, SerialNs: sNs, ParallelNs: pNs}
-	if res.ParallelNs > 0 {
-		res.Speedup = float64(res.SerialNs) / float64(res.ParallelNs)
-	}
-	fmt.Printf("%-14s serial %12d ns/op   optimized %12d ns/op   speedup %.2fx\n",
-		res.Name, res.SerialNs, res.ParallelNs, res.Speedup)
+	fmt.Printf("%-14s %12d ns/op\n", res.Name, res.NsPerOp)
 	return res
 }
 
-// cmdBench measures the serial reference paths against the batched,
-// parallel pipeline — the same pairs the package benchmarks cover
-// (BenchmarkHMFit, BenchmarkPredictBatch, BenchmarkGASearch,
-// BenchmarkTrainParallel) — and optionally writes BENCH_model.json.
+// cmdBench measures the model pipeline's hot operations — the work the
+// package benchmarks cover (BenchmarkHMFit, BenchmarkGrowTC5,
+// BenchmarkPredictBatch, BenchmarkGASearch, BenchmarkTrainParallel,
+// BenchmarkCollectBatch) — and optionally writes BENCH_model.json.
 func cmdBench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
 	jsonPath := fs.String("json", "", "write results as JSON (e.g. BENCH_model.json)")
 	quick := fs.Bool("quick", false, "small problem sizes (CI smoke run)")
-	backendName := fs.String("model", "hm", "model backend the predict/search pairs query (hm|rf|rs|ann|svm)")
-	serveBench := fs.Bool("serve", false, "benchmark the serving path instead: hot cache vs Load-per-request")
+	backendName := fs.String("model", "hm", "model backend predict_batch, ga_search and -serve query (hm|rf|rs|ann|svm)")
+	serveBench := fs.Bool("serve", false, "benchmark the serving path instead: HTTP predict load against the hot cache")
 	serveClients := fs.Int("serve-clients", 8, "concurrent HTTP clients for -serve")
-	serveDuration := fs.Duration("serve-duration", 3*time.Second, "load duration per side for -serve")
+	serveDuration := fs.Duration("serve-duration", 3*time.Second, "load duration for -serve")
 	serveVectors := fs.Int("serve-vectors", 64, "distinct request vectors in the -serve pool")
 	pf := addProfFlags(fs)
 	fs.Parse(args)
@@ -186,48 +169,28 @@ func cmdBench(args []string) error {
 	hmDS := benchDataset(2000, 42, 1)
 	hmOpt := hm.Options{Trees: hmTrees, LearningRate: 0.05, TreeComplexity: 5,
 		Seed: 1, TargetAccuracy: 0.999}
-	rep.Results = append(rep.Results, runPair("hm_fit",
-		func(b *testing.B) {
-			opt := hmOpt
-			opt.Workers = 1
-			opt.NoBatch = true
-			for i := 0; i < b.N; i++ {
-				if _, err := hm.Train(hmDS, opt); err != nil {
-					b.Fatal(err)
-				}
+	rep.Results = append(rep.Results, runBench("hm_fit", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := hm.Train(hmDS, hmOpt); err != nil {
+				b.Fatal(err)
 			}
-		},
-		func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := hm.Train(hmDS, hmOpt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}))
+		}
+	}))
 
-	// tree_grow pairs the exact per-node histogram scan against the
-	// sibling-subtraction fast path on the same single-tree workload as
-	// BenchmarkGrowTC5: one boosting sub-model (tc=5) over the hm_fit
-	// design matrix. This is the inner loop hm executes nt times, so its
-	// speedup compounds directly into hm_fit.
+	// tree_grow is the BenchmarkGrowTC5 workload: one boosting sub-model
+	// (tc=5) over the hm_fit design matrix — the inner loop hm executes
+	// nt times, so its cost compounds directly into hm_fit.
 	treeBuilder := tree.NewBuilder(hmDS.Features)
 	treeIdx := make([]int, hmDS.Len())
 	for i := range treeIdx {
 		treeIdx[i] = i
 	}
-	rep.Results = append(rep.Results, runPair("tree_grow",
-		func(b *testing.B) {
-			opt := tree.Options{MaxSplits: 5, ExactHistograms: true}
-			for i := 0; i < b.N; i++ {
-				treeBuilder.Grow(hmDS.Targets, treeIdx, opt, nil)
-			}
-		},
-		func(b *testing.B) {
-			opt := tree.Options{MaxSplits: 5}
-			for i := 0; i < b.N; i++ {
-				treeBuilder.Grow(hmDS.Targets, treeIdx, opt, nil)
-			}
-		}))
+	rep.Results = append(rep.Results, runBench("tree_grow", func(b *testing.B) {
+		opt := tree.Options{MaxSplits: 5}
+		for i := 0; i < b.N; i++ {
+			treeBuilder.Grow(hmDS.Targets, treeIdx, opt, nil)
+		}
+	}))
 
 	m, err := benchSpaceModel(*backendName, modelTrees, modelWindow, *quick)
 	if err != nil {
@@ -240,56 +203,28 @@ func cmdBench(args []string) error {
 		rows[i] = space.Random(rng).Vector()
 	}
 	out := make([]float64, len(rows))
-	rep.Results = append(rep.Results, runPair("predict_batch",
-		func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for j, x := range rows {
-					out[j] = m.Predict(x)
-				}
-			}
-		},
-		func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				model.PredictBatch(m, rows, out)
-			}
-		}))
+	rep.Results = append(rep.Results, runBench("predict_batch", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			model.PredictBatch(m, rows, out)
+		}
+	}))
 
-	gaOpt := ga.Options{PopSize: popSize, Generations: generations, Seed: 1}
-	rep.Results = append(rep.Results, runPair("ga_search",
-		func(b *testing.B) {
-			opt := gaOpt
-			opt.Workers = 1
-			opt.NoCache = true
-			for i := 0; i < b.N; i++ {
-				ga.Minimize(space, m.Predict, nil, opt)
-			}
-		},
-		func(b *testing.B) {
-			opt := gaOpt
-			opt.BatchObj = func(X [][]float64, fit []float64) { model.PredictBatch(m, X, fit) }
-			for i := 0; i < b.N; i++ {
-				ga.Minimize(space, m.Predict, nil, opt)
-			}
-		}))
+	gaOpt := ga.Options{PopSize: popSize, Generations: generations, Seed: 1,
+		BatchObj: func(X [][]float64, fit []float64) { model.PredictBatch(m, X, fit) }}
+	rep.Results = append(rep.Results, runBench("ga_search", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ga.Minimize(space, m.Predict, nil, gaOpt)
+		}
+	}))
 
 	rfDS := benchDataset(1000, 12, 3)
-	rep.Results = append(rep.Results, runPair("rf_fit",
-		func(b *testing.B) {
-			// The serial reference also runs the exact histogram scan, so
-			// the pair captures both the parallel-fit and fast-tree wins.
-			for i := 0; i < b.N; i++ {
-				if _, err := rf.Train(rfDS, rf.Options{Trees: rfTrees, Seed: 1, Workers: 1, ExactHistograms: true}); err != nil {
-					b.Fatal(err)
-				}
+	rep.Results = append(rep.Results, runBench("rf_fit", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := rf.Train(rfDS, rf.Options{Trees: rfTrees, Seed: 1}); err != nil {
+				b.Fatal(err)
 			}
-		},
-		func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := rf.Train(rfDS, rf.Options{Trees: rfTrees, Seed: 1}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}))
+		}
+	}))
 
 	w, err := workloads.ByAbbr("WC")
 	if err != nil {
@@ -304,19 +239,11 @@ func cmdBench(args []string) error {
 			InputMB: 512 + 4096*specRng.Float64(),
 		}
 	}
-	rep.Results = append(rep.Results, runPair("collect_batch",
-		func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for _, s := range specs {
-					sim.Run(&w.Program, s.InputMB, s.Cfg)
-				}
-			}
-		},
-		func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sim.RunBatch(&w.Program, specs)
-			}
-		}))
+	rep.Results = append(rep.Results, runBench("collect_batch", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sim.RunBatch(&w.Program, specs)
+		}
+	}))
 
 	if *jsonPath != "" {
 		f, err := os.Create(*jsonPath)

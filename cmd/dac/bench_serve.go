@@ -17,9 +17,9 @@ import (
 	"repro/internal/serve"
 )
 
-// serveSideReport is one side of the hot-versus-baseline serving pair:
-// aggregate client-side load numbers plus (for the hot side) the
-// daemon's own cache and coalescing counters.
+// serveSideReport is the load a benchmark drove against one daemon:
+// aggregate client-side numbers plus the daemon's own cache and
+// coalescing counters.
 type serveSideReport struct {
 	Requests int64   `json:"requests"`
 	Errors   int64   `json:"errors"`
@@ -28,21 +28,20 @@ type serveSideReport struct {
 	P99Us    float64 `json:"p99_us"`
 	MaxUs    float64 `json:"max_us"`
 
-	CacheHits int64   `json:"cache_hits,omitempty"`
-	CacheMiss int64   `json:"cache_misses,omitempty"`
-	MemoHits  int64   `json:"memo_hits,omitempty"`
-	MemoMiss  int64   `json:"memo_misses,omitempty"`
-	Batches   int64   `json:"batches,omitempty"`
-	MeanBatch float64 `json:"mean_batch,omitempty"`
-	MaxBatch  float64 `json:"max_batch,omitempty"`
-	HitRate   float64 `json:"cache_hit_rate,omitempty"`
-	MemoRate  float64 `json:"memo_hit_rate,omitempty"`
+	CacheHits int64   `json:"cache_hits"`
+	CacheMiss int64   `json:"cache_misses"`
+	MemoHits  int64   `json:"memo_hits"`
+	MemoMiss  int64   `json:"memo_misses"`
+	Batches   int64   `json:"batches"`
+	MeanBatch float64 `json:"mean_batch"`
+	MaxBatch  float64 `json:"max_batch"`
+	HitRate   float64 `json:"cache_hit_rate"`
+	MemoRate  float64 `json:"memo_hit_rate"`
 }
 
-// serveBenchReport is the BENCH_serve.json schema: the same load driven
-// against the hot serving path (pinned models, memo, coalesced batches)
-// and against the original Load-per-request baseline, from the same
-// number of concurrent HTTP clients.
+// serveBenchReport is the BENCH_serve.json schema: a fixed load driven
+// from concurrent HTTP clients against the serving path (pinned models,
+// memo, coalesced batches).
 type serveBenchReport struct {
 	benchEnv
 	Quick       bool    `json:"quick"`
@@ -51,10 +50,7 @@ type serveBenchReport struct {
 	VectorPool  int     `json:"vector_pool"`
 	ModelTrees  int     `json:"model_trees"`
 
-	Hot      serveSideReport `json:"hot"`
-	Baseline serveSideReport `json:"baseline"`
-	// Speedup is hot QPS over baseline QPS at the same client count.
-	Speedup float64 `json:"speedup"`
+	Hot serveSideReport `json:"hot"`
 }
 
 // quantileUs picks the q-quantile (nearest-rank) from sorted seconds,
@@ -130,10 +126,9 @@ func driveServe(url string, bodies [][]byte, clients int, duration time.Duration
 	return rep, nil
 }
 
-// benchServe measures the serving tentpole: the hot path (model cache +
-// memo + coalescer) against a second daemon running the pre-cache
-// Load-per-request path, same model, same request pool, same client
-// count. Results land on stdout and optionally in BENCH_serve.json.
+// benchServe drives the serving path: one daemon with default serving
+// options, one registered model, a fixed request pool and client count.
+// Results land on stdout and optionally in BENCH_serve.json.
 func benchServe(jsonPath string, quick bool, clients, vectors int, duration time.Duration, backendName string) error {
 	modelTrees, modelWindow := 3600, 4000
 	if quick {
@@ -172,46 +167,32 @@ func benchServe(jsonPath string, quick bool, clients, vectors int, duration time
 		bodies[i] = b
 	}
 
-	// Two daemons over separate data directories: serving enabled
-	// (default options) and serving disabled — the disabled side is
-	// exactly the pre-cache predict path, decoding the registry snapshot
-	// on every request.
-	run := func(label string, opt serve.ServingOptions) (serveSideReport, *obs.Registry, error) {
-		dir, err := os.MkdirTemp("", "dac-bench-serve-*")
-		if err != nil {
-			return serveSideReport{}, nil, err
-		}
-		defer os.RemoveAll(dir)
-		reg := obs.NewRegistry()
-		s, err := serve.NewServerOpts(dir, serve.ServerOptions{Workers: 1, Obs: reg, Serving: opt})
-		if err != nil {
-			return serveSideReport{}, nil, err
-		}
-		defer s.Close()
-		if _, err := s.Manager().Models().Save("bench", m, serve.ModelMeta{Backend: backendName}); err != nil {
-			return serveSideReport{}, nil, err
-		}
-		ts := httptest.NewServer(s.Handler())
-		defer ts.Close()
-		side, err := driveServe(ts.URL+"/models/bench/predict", bodies, clients, duration)
-		if err != nil {
-			return side, nil, fmt.Errorf("%s: %w", label, err)
-		}
-		fmt.Printf("%-9s %8d req  %10.0f qps   p50 %8.1fµs   p99 %8.1fµs   errors %d\n",
-			label, side.Requests, side.QPS, side.P50Us, side.P99Us, side.Errors)
-		return side, reg, nil
-	}
-
-	hot, hotReg, err := run("hot", serve.ServingOptions{})
+	dir, err := os.MkdirTemp("", "dac-bench-serve-*")
 	if err != nil {
 		return err
 	}
-	hot.CacheHits = hotReg.Counter("serve.modelcache.hits").Value()
-	hot.CacheMiss = hotReg.Counter("serve.modelcache.misses").Value()
-	hot.MemoHits = hotReg.Counter("serve.predict.memo.hits").Value()
-	hot.MemoMiss = hotReg.Counter("serve.predict.memo.misses").Value()
-	hot.Batches = hotReg.Counter("serve.predict.batches").Value()
-	bs := hotReg.Histogram("serve.predict.batch_size", nil)
+	defer os.RemoveAll(dir)
+	reg := obs.NewRegistry()
+	s, err := serve.NewServerOpts(dir, serve.ServerOptions{Workers: 1, Obs: reg})
+	if err != nil {
+		return err
+	}
+	defer s.Close()
+	if _, err := s.Manager().Models().Save("bench", m, serve.ModelMeta{Backend: backendName}); err != nil {
+		return err
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	hot, err := driveServe(ts.URL+"/models/bench/predict", bodies, clients, duration)
+	if err != nil {
+		return err
+	}
+	hot.CacheHits = reg.Counter("serve.modelcache.hits").Value()
+	hot.CacheMiss = reg.Counter("serve.modelcache.misses").Value()
+	hot.MemoHits = reg.Counter("serve.predict.memo.hits").Value()
+	hot.MemoMiss = reg.Counter("serve.predict.memo.misses").Value()
+	hot.Batches = reg.Counter("serve.predict.batches").Value()
+	bs := reg.Histogram("serve.predict.batch_size", nil)
 	hot.MeanBatch = bs.Mean()
 	hot.MaxBatch = bs.Max()
 	if total := hot.CacheHits + hot.CacheMiss; total > 0 {
@@ -220,19 +201,11 @@ func benchServe(jsonPath string, quick bool, clients, vectors int, duration time
 	if total := hot.MemoHits + hot.MemoMiss; total > 0 {
 		hot.MemoRate = float64(hot.MemoHits) / float64(total)
 	}
+	fmt.Printf("hot       %8d req  %10.0f qps   p50 %8.1fµs   p99 %8.1fµs   errors %d\n",
+		hot.Requests, hot.QPS, hot.P50Us, hot.P99Us, hot.Errors)
 	fmt.Printf("          cache hit rate %.4f   memo hit rate %.4f   %d batches (mean %.1f, max %.0f rows)\n",
 		hot.HitRate, hot.MemoRate, hot.Batches, hot.MeanBatch, hot.MaxBatch)
-
-	base, _, err := run("baseline", serve.ServingOptions{Disabled: true})
-	if err != nil {
-		return err
-	}
-	rep.Hot, rep.Baseline = hot, base
-	if base.QPS > 0 {
-		rep.Speedup = hot.QPS / base.QPS
-	}
-	fmt.Printf("serve speedup %.1fx (%0.f qps hot vs %.0f qps Load-per-request, %d clients)\n",
-		rep.Speedup, hot.QPS, base.QPS, clients)
+	rep.Hot = hot
 
 	if jsonPath != "" {
 		f, err := os.Create(jsonPath)

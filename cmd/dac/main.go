@@ -102,7 +102,7 @@ func usage() {
   dac show    -workload TS
   dac compare -workload TS [-ntrain 2000]
   dac importance -in ts.csv [-top 10]
-  dac bench   [-json BENCH_model.json] [-quick]  # serial vs batched/parallel
+  dac bench   [-json BENCH_model.json] [-quick]  # ns/op of the model pipeline
   dac serve   [-addr :7411] [-data dacd-data] [-workers 2] [-coordinator] [-auth-token T] [-gc-keep-versions N]
   dac worker  [-coordinator http://127.0.0.1:7411] [-name w1] [-parallelism N]  # fleet sweep worker
   dac client  <submit|status|jobs|cancel|models|predict|backends> [-addr http://127.0.0.1:7411]

@@ -31,7 +31,6 @@ func cmdServe(args []string) error {
 	workers := fs.Int("workers", 2, "concurrent tuning jobs (min 1)")
 	coalesceWindow := fs.Duration("coalesce-window", 200*time.Microsecond, "predict micro-batch gather window (must be positive)")
 	keepVersions := fs.Int("keep-versions", 4, "old model versions kept hot beside the latest (0 = keep none)")
-	noHotPath := fs.Bool("no-hot-path", false, "disable the serving cache: decode the model from disk on every predict")
 	memoCap := fs.Int("memo-cap", 262144, "max memoized prediction vectors per hot model version (must be positive)")
 	coordinator := fs.Bool("coordinator", false, "enable the fleet coordinator: collect sweeps shard across `dac worker` agents when any are live (DESIGN.md §15)")
 	leaseTTL := fs.Duration("lease-ttl", 10*time.Second, "fleet: lease/liveness horizon past a worker's last heartbeat")
@@ -79,7 +78,6 @@ func cmdServe(args []string) error {
 		Workers: *workers,
 		Obs:     reg,
 		Serving: serve.ServingOptions{
-			Disabled:        *noHotPath,
 			CoalesceWindow:  *coalesceWindow,
 			KeepOldVersions: keep,
 			MemoCap:         *memoCap,

@@ -108,7 +108,6 @@ func TestSearchBatchWiringMatchesSerialGA(t *testing.T) {
 	base := ga.Options{PopSize: 20, Generations: 12}
 	refOpt := base
 	refOpt.Workers = 1
-	refOpt.NoCache = true
 	refVec, refPred := run(rowOnly{m}, refOpt, nil)
 	for _, tc := range []struct {
 		label string

@@ -3,6 +3,8 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"runtime"
 	"strings"
 	"time"
 
@@ -38,30 +40,17 @@ func Validate(sc Scale) []ValidateRow {
 		panic(fmt.Sprintf("experiments: generating text: %v", err))
 	}
 	words := strings.Fields(text.String())
-	engineTime := func(cfg engine.Config) float64 {
-		// Median of three runs tames scheduler noise.
-		best := make([]float64, 0, 3)
-		for k := 0; k < 3; k++ {
-			ctx := engine.NewContext(cfg)
-			start := time.Now()
-			pairs := engine.MapToPairs(engine.Parallelize(ctx, words),
-				func(w string) (string, int) { return w, 1 })
-			counts, err := engine.ReduceByKey(pairs, func(a, b int) int { return a + b })
-			if err != nil {
-				panic(err)
-			}
-			if _, err := counts.Collect(); err != nil {
-				panic(err)
-			}
-			best = append(best, time.Since(start).Seconds())
+	wordCount := func(cfg engine.Config) {
+		ctx := engine.NewContext(cfg)
+		pairs := engine.MapToPairs(engine.Parallelize(ctx, words),
+			func(w string) (string, int) { return w, 1 })
+		counts, err := engine.ReduceByKey(pairs, func(a, b int) int { return a + b })
+		if err != nil {
+			panic(err)
 		}
-		if best[0] > best[1] {
-			best[0], best[1] = best[1], best[0]
+		if _, err := counts.Collect(); err != nil {
+			panic(err)
 		}
-		if best[1] > best[2] {
-			best[1], best[2] = best[2], best[1]
-		}
-		return best[1]
 	}
 
 	// --- Simulator predictions (WordCount at cluster scale). ------------
@@ -81,16 +70,20 @@ func Validate(sc Scale) []ValidateRow {
 	// Knob 1: shuffle compression on a CPU-bound word count. Both
 	// systems must agree on the direction (at this ratio of compute to
 	// I/O it costs more CPU than the bytes it saves).
-	engOff := engineTime(engine.Config{Parallelism: 8})
-	engOn := engineTime(engine.Config{Parallelism: 8, CompressShuffle: true})
+	engCompress := engineRatio(wordCount,
+		engine.Config{Parallelism: 8},
+		engine.Config{Parallelism: 8, CompressShuffle: true})
 	simOff := simTime(func(c conf.Config) { c.SetBool(conf.ShuffleCompress, false) })
 	simOn := simTime(nil)
-	rows = append(rows, mkRow("shuffle compression on", engOn/engOff, simOn/simOff))
+	rows = append(rows, mkRow("shuffle compression on", engCompress, simOn/simOff))
 
 	// Knob 2: more task slots (engine workers / executor cores) must
-	// speed a CPU-bound job up in both systems.
-	engFew := engineTime(engine.Config{Parallelism: 8, Workers: 2})
-	engMany := engineTime(engine.Config{Parallelism: 8, Workers: 8})
+	// speed a CPU-bound job up in both systems. Slots beyond the host's
+	// cores only time-share them, so the engine goes from one worker to
+	// one per core (at least two).
+	engSlots := engineRatio(wordCount,
+		engine.Config{Parallelism: 8, Workers: 1},
+		engine.Config{Parallelism: 8, Workers: max(2, runtime.GOMAXPROCS(0))})
 	simFew := simTime(func(c conf.Config) {
 		c.Set(conf.ExecutorMemory, 8192)
 		c.Set(conf.ExecutorCores, 2)
@@ -99,39 +92,27 @@ func Validate(sc Scale) []ValidateRow {
 		c.Set(conf.ExecutorMemory, 8192)
 		c.Set(conf.ExecutorCores, 12)
 	})
-	rows = append(rows, mkRow("more task slots", engMany/engFew, simMany/simFew))
+	rows = append(rows, mkRow("more task slots", engSlots, simMany/simFew))
 
 	// Knob 3: starving the shuffle of memory (forcing spills) must slow
 	// both systems down. Word count's combined shuffle is too small to
 	// feel it, so this row sorts — the whole dataset crosses the shuffle.
-	sortTime := func(cfg engine.Config) float64 {
-		var tera bytes.Buffer
-		if _, err := workloads.GenTeraRecords(&tera, 120_000, 2); err != nil {
+	var tera bytes.Buffer
+	if _, err := workloads.GenTeraRecords(&tera, 120_000, 2); err != nil {
+		panic(err)
+	}
+	records := strings.Split(strings.TrimRight(tera.String(), "\n"), "\n")
+	teraSort := func(cfg engine.Config) {
+		ctx := engine.NewContext(cfg)
+		pairs := engine.MapToPairs(engine.Parallelize(ctx, records),
+			func(r string) (string, string) { return r[:10], r[10:] })
+		sorted, err := engine.SortByKey(pairs, func(a, b string) bool { return a < b })
+		if err != nil {
 			panic(err)
 		}
-		records := strings.Split(strings.TrimRight(tera.String(), "\n"), "\n")
-		best := make([]float64, 0, 3)
-		for k := 0; k < 3; k++ {
-			ctx := engine.NewContext(cfg)
-			start := time.Now()
-			pairs := engine.MapToPairs(engine.Parallelize(ctx, records),
-				func(r string) (string, string) { return r[:10], r[10:] })
-			sorted, err := engine.SortByKey(pairs, func(a, b string) bool { return a < b })
-			if err != nil {
-				panic(err)
-			}
-			if _, err := sorted.Collect(); err != nil {
-				panic(err)
-			}
-			best = append(best, time.Since(start).Seconds())
+		if _, err := sorted.Collect(); err != nil {
+			panic(err)
 		}
-		if best[0] > best[1] {
-			best[0], best[1] = best[1], best[0]
-		}
-		if best[1] > best[2] {
-			best[1], best[2] = best[2], best[1]
-		}
-		return best[1]
 	}
 	ts, _ := workloads.ByAbbr("TS")
 	tsTime := func(memMB float64) float64 {
@@ -140,12 +121,39 @@ func Validate(sc Scale) []ValidateRow {
 			Set(conf.DefaultParallelism, 50)
 		return sim.Run(&ts.Program, ts.InputMB(30), cfg).TotalSec
 	}
-	engAmple := sortTime(engine.Config{Parallelism: 8})
-	engTight := sortTime(engine.Config{Parallelism: 8, ShuffleMemoryMB: 1})
+	engStarved := engineRatio(teraSort,
+		engine.Config{Parallelism: 8},
+		engine.Config{Parallelism: 8, ShuffleMemoryMB: 1})
 	simRatio := tsTime(1024) / tsTime(8192)
-	rows = append(rows, mkRow("shuffle memory starved", engTight/engAmple, simRatio))
+	rows = append(rows, mkRow("shuffle memory starved", engStarved, simRatio))
 
 	return rows
+}
+
+// engineTrials is how many timed runs engineRatio makes per configuration.
+const engineTrials = 5
+
+// engineRatio runs job on the real engine under configurations a and b
+// and returns time(b)/time(a). One untimed run of each warms caches and
+// the heap; the timed trials then alternate a and b so a drift in host
+// load hits both alike, each starts from a collected heap so one run's
+// garbage is not charged to the next, and each side keeps its fastest
+// trial, since scheduler noise only ever adds time.
+func engineRatio(job func(engine.Config), a, b engine.Config) float64 {
+	job(a)
+	job(b)
+	timed := func(cfg engine.Config) float64 {
+		runtime.GC()
+		start := time.Now()
+		job(cfg)
+		return time.Since(start).Seconds()
+	}
+	bestA, bestB := math.Inf(1), math.Inf(1)
+	for k := 0; k < engineTrials; k++ {
+		bestA = min(bestA, timed(a))
+		bestB = min(bestB, timed(b))
+	}
+	return bestB / bestA
 }
 
 func mkRow(knob string, engRatio, simRatio float64) ValidateRow {

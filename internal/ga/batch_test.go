@@ -37,50 +37,51 @@ func sameSearch(t *testing.T, label string, ref, got Result) {
 	}
 }
 
-// TestEvaluationModesEquivalent pins the tentpole contract: worker-pool
-// evaluation, the genome cache, and the batch objective must each leave
-// the search result bit-identical to the serial uncached reference, for
-// several seeds.
+// TestEvaluationModesEquivalent pins the evaluation contract:
+// worker-pool evaluation, a caller-supplied cache, and the batch
+// objective must each leave the search result bit-identical to the
+// serial reference (Workers=1, run-private cache), for several seeds.
+// Every genome of every generation is scored exactly once, by the
+// objective or by the cache.
 func TestEvaluationModesEquivalent(t *testing.T) {
 	space := conf.StandardSpace()
 	for _, seed := range []int64{1, 7, 42} {
 		base := Options{PopSize: 30, Generations: 30, Seed: seed}
+		const scored = 30 * 31
 		refOpt := base
 		refOpt.Workers = 1
-		refOpt.NoCache = true
 		ref := Minimize(space, sphere(space), nil, refOpt)
-		if ref.Evaluations != 30*31 {
-			t.Fatalf("seed %d: reference made %d evaluations, want %d", seed, ref.Evaluations, 30*31)
+		// Every mode below memoizes, so check the reference's answer
+		// against the objective itself.
+		if f := sphere(space)(ref.Best); f != ref.BestFitness {
+			t.Fatalf("seed %d: best fitness %v, objective at best %v", seed, ref.BestFitness, f)
 		}
 
 		for _, tc := range []struct {
 			label string
 			mut   func(*Options)
 		}{
-			{"workers=2", func(o *Options) { o.Workers = 2; o.NoCache = true }},
-			{"workers=gomaxprocs", func(o *Options) { o.NoCache = true }},
-			{"cache", func(o *Options) { o.Workers = 1 }},
-			{"cache+workers", func(o *Options) {}},
-			{"batchobj", func(o *Options) { o.Workers = 1; o.NoCache = true; o.BatchObj = batchSphere(space) }},
-			{"batchobj+cache+workers", func(o *Options) { o.BatchObj = batchSphere(space) }},
+			{"reference", func(o *Options) { o.Workers = 1 }},
+			{"workers=2", func(o *Options) { o.Workers = 2 }},
+			{"workers=gomaxprocs", func(o *Options) {}},
+			{"shared-cache", func(o *Options) { o.Workers = 1; o.Cache = NewGenomeCache() }},
+			{"batchobj", func(o *Options) { o.Workers = 1; o.BatchObj = batchSphere(space) }},
+			{"batchobj+workers", func(o *Options) { o.BatchObj = batchSphere(space) }},
 		} {
 			opt := base
 			tc.mut(&opt)
 			got := Minimize(space, sphere(space), nil, opt)
 			sameSearch(t, tc.label, ref, got)
-			if opt.NoCache {
-				if got.Evaluations != ref.Evaluations || got.CacheHits != 0 {
-					t.Fatalf("%s seed %d: evals %d hits %d, want %d/0",
-						tc.label, seed, got.Evaluations, got.CacheHits, ref.Evaluations)
-				}
-			} else {
-				if got.Evaluations+got.CacheHits != ref.Evaluations {
-					t.Fatalf("%s seed %d: evals %d + hits %d != %d",
-						tc.label, seed, got.Evaluations, got.CacheHits, ref.Evaluations)
-				}
-				if got.CacheHits == 0 {
-					t.Fatalf("%s seed %d: cache never hit (elites alone guarantee hits)", tc.label, seed)
-				}
+			if got.Evaluations+got.CacheHits != scored {
+				t.Fatalf("%s seed %d: evals %d + hits %d != %d",
+					tc.label, seed, got.Evaluations, got.CacheHits, scored)
+			}
+			if got.Evaluations != ref.Evaluations {
+				t.Fatalf("%s seed %d: %d evaluations, reference made %d",
+					tc.label, seed, got.Evaluations, ref.Evaluations)
+			}
+			if got.CacheHits == 0 {
+				t.Fatalf("%s seed %d: cache never hit (elites alone guarantee hits)", tc.label, seed)
 			}
 		}
 	}

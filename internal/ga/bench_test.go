@@ -38,11 +38,10 @@ var benchModel = sync.OnceValue(func() *hm.Model {
 
 // BenchmarkGASearch measures one full paper-setup search (popSize 100 ×
 // 100 generations) against a trained HM model — the searching column of
-// Table 3. The serial leg is the pre-optimization reference (per-row
-// objective calls, no cache, one worker); the parallel leg is the
-// batched pipeline: genome-memoized fitness, tree-at-a-time batch
-// prediction, worker-pool evaluation. Both return identical results
-// (see batch_test.go).
+// Table 3. The serial leg makes per-row objective calls on one worker;
+// the parallel leg is the batched pipeline: tree-at-a-time batch
+// prediction and worker-pool evaluation. Both legs memoize genomes and
+// return identical results (see batch_test.go).
 func BenchmarkGASearch(b *testing.B) {
 	space := conf.StandardSpace()
 	m := benchModel()
@@ -50,7 +49,7 @@ func BenchmarkGASearch(b *testing.B) {
 		name string
 		mut  func(*Options)
 	}{
-		{"serial", func(o *Options) { o.Workers = 1; o.NoCache = true }},
+		{"serial", func(o *Options) { o.Workers = 1 }},
 		{"parallel", func(o *Options) { o.BatchObj = m.PredictBatch }},
 	} {
 		opt := Options{PopSize: 100, Generations: 100, Seed: 1}

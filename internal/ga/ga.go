@@ -62,21 +62,15 @@ type Options struct {
 	// 1 = serial). The search result is identical for any value; with
 	// Workers != 1 the objective must be safe for concurrent calls.
 	Workers int
-	// NoCache disables genome memoization. By default individuals that
-	// reappear — elites, duplicate children of converged populations —
-	// are never re-scored: their fitness replays from a cache keyed on
-	// the exact gene bits, and Evaluations counts only real objective
-	// calls. The search result is identical with or without the cache.
-	NoCache bool
 	// Cache, when non-nil, replaces the run-private genome memo cache
 	// with a shared one, letting repeated searches of the same objective
 	// (the daemon's idempotent search traffic) replay each other's
 	// evaluations. The cache is sharded by genome hash, so concurrent
 	// Minimize calls sharing it do not contend on one map. Callers must
 	// only share a cache between searches whose objectives are identical
-	// — the key is the genome alone. Ignored under NoCache. The search
-	// result is identical with or without sharing; only Evaluations and
-	// CacheHits shift (replays replace objective calls, counted exactly).
+	// — the key is the genome alone. The search result is identical with
+	// or without sharing; only Evaluations and CacheHits shift (replays
+	// replace objective calls, counted exactly).
 	Cache *GenomeCache
 	// Seed drives all randomness.
 	Seed int64
@@ -174,13 +168,9 @@ func Minimize(space *conf.Space, obj Objective, init [][]float64, opt Options) R
 	// repeated individuals (elites, duplicate children late in a
 	// converged run) never reach the objective again. The cache is the
 	// sharded kind either way; a run-private one simply never contends.
-	var cache *GenomeCache
-	if !opt.NoCache {
-		if opt.Cache != nil {
-			cache = opt.Cache
-		} else {
-			cache = NewGenomeCache()
-		}
+	cache := opt.Cache
+	if cache == nil {
+		cache = NewGenomeCache()
 	}
 	keyBuf := make([]byte, 0, 8*d)
 	keyOf := func(x []float64) string {
@@ -197,29 +187,26 @@ func Minimize(space *conf.Space, obj Objective, init [][]float64, opt Options) R
 	// best-individual tie-breaking matches the reference implementation
 	// bit for bit regardless of worker count or cache state.
 	evaluate := func() {
-		X := pop
+		var X [][]float64
 		var keys []string
 		var rows [][]int
-		if cache != nil {
-			X = X[:0:0]
-			batch := make(map[string]int, len(pop))
-			for i, x := range pop {
-				k := keyOf(x)
-				if v, ok := cache.Lookup(k); ok {
-					fit[i] = v
-					res.CacheHits++
-					continue
-				}
-				if j, ok := batch[k]; ok {
-					rows[j] = append(rows[j], i)
-					res.CacheHits++
-					continue
-				}
-				batch[k] = len(X)
-				X = append(X, x)
-				keys = append(keys, k)
-				rows = append(rows, []int{i})
+		batch := make(map[string]int, len(pop))
+		for i, x := range pop {
+			k := keyOf(x)
+			if v, ok := cache.Lookup(k); ok {
+				fit[i] = v
+				res.CacheHits++
+				continue
 			}
+			if j, ok := batch[k]; ok {
+				rows[j] = append(rows[j], i)
+				res.CacheHits++
+				continue
+			}
+			batch[k] = len(X)
+			X = append(X, x)
+			keys = append(keys, k)
+			rows = append(rows, []int{i})
 		}
 		m := len(X)
 		vals := make([]float64, m)
@@ -254,15 +241,11 @@ func Minimize(space *conf.Space, obj Objective, init [][]float64, opt Options) R
 		}
 		res.Evaluations += m
 		evals.Add(int64(m))
-		if cache != nil {
-			for j, v := range vals {
-				cache.Store(keys[j], v)
-				for _, i := range rows[j] {
-					fit[i] = v
-				}
+		for j, v := range vals {
+			cache.Store(keys[j], v)
+			for _, i := range rows[j] {
+				fit[i] = v
 			}
-		} else {
-			copy(fit, vals)
 		}
 		for i, v := range fit {
 			if v < res.BestFitness {

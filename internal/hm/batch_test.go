@@ -1,7 +1,6 @@
 package hm
 
 import (
-	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -37,14 +36,6 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	}
 }
 
-// relDiff is |a-b| / max(1, |a|, |b|) — the tolerance metric DESIGN.md
-// §13 uses for fast-vs-exact tree comparisons.
-func relDiff(a, b float64) float64 {
-	d := math.Abs(a - b)
-	den := math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-	return d / den
-}
-
 // TestTrainWorkersEquivalence pins the parallel-training determinism
 // contract: serial (Workers=1) and parallel training must produce models
 // with bit-identical predictions, orders, and validation errors — the
@@ -62,29 +53,6 @@ func TestTrainWorkersEquivalence(t *testing.T) {
 		serial, err := Train(ds, serialOpt)
 		if err != nil {
 			t.Fatal(err)
-		}
-		refOpt := baseOpt
-		refOpt.Workers = 1
-		refOpt.NoBatch = true
-		ref, err := Train(ds, refOpt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The NoBatch reference grows trees with the exact histogram scan;
-		// the default fast path is only tolerance-equivalent to it
-		// (DESIGN.md §13), so the comparison here is relative, not ==.
-		// The serial-vs-parallel comparisons below stay bit-exact: both
-		// sides use the same scan.
-		if serial.Order != ref.Order {
-			t.Fatalf("NoBatch reference order diverged: %d vs %d", serial.Order, ref.Order)
-		}
-		if relDiff(serial.ValErr, ref.ValErr) > 1e-6 {
-			t.Fatalf("NoBatch reference valerr diverged: %v vs %v", serial.ValErr, ref.ValErr)
-		}
-		for i, x := range probes {
-			if a, b := serial.Predict(x), ref.Predict(x); relDiff(a, b) > 1e-6 {
-				t.Fatalf("NoBatch probe %d: %v vs %v", i, a, b)
-			}
 		}
 		for _, workers := range []int{2, runtime.GOMAXPROCS(0), 9} {
 			parOpt := baseOpt

@@ -27,22 +27,19 @@ func benchDS(n, d int, seed int64) *model.Dataset {
 	return ds
 }
 
-// BenchmarkHMFit compares one paper-scale HM fit (2000 samples × 42
-// features) on the pre-optimization reference path (serial: row-at-a-time
-// float updates, Workers=1) against the batched/parallel pipeline
-// (parallel: binned tree-at-a-time updates, concurrent first-order fits,
-// parallel split scans). Both produce bit-identical models (see
-// batch_test.go), so the early-stopping round is the same and the ratio
-// is a pure throughput comparison.
+// BenchmarkHMFit measures one paper-scale HM fit (2000 samples × 42
+// features) serially (Workers=1) and with the default worker count
+// (concurrent first-order fits, parallel histogram builds). Both produce
+// bit-identical models (see batch_test.go), so the early-stopping round
+// is the same and the ratio is a pure throughput comparison.
 func BenchmarkHMFit(b *testing.B) {
 	ds := benchDS(2000, 42, 1)
 	for _, bc := range []struct {
 		name    string
 		workers int
-		noBatch bool
-	}{{"serial", 1, true}, {"parallel", 0, false}} {
+	}{{"serial", 1}, {"parallel", 0}} {
 		opt := Options{Trees: 600, LearningRate: 0.05, TreeComplexity: 5, Seed: 1,
-			TargetAccuracy: 0.999, Workers: bc.workers, NoBatch: bc.noBatch}
+			TargetAccuracy: 0.999, Workers: bc.workers}
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -16,8 +16,9 @@
 // is derived from (Seed, order) alone, so candidate orders fit
 // concurrently under Workers > 1 while producing exactly the model a
 // serial run would; the boosting inner loop updates train/validation
-// predictions tree-at-a-time (tree.AccumulateBatch) instead of row-at-a-
-// time, and split finding fans out across features inside internal/tree.
+// predictions tree-at-a-time over pre-binned rows (tree.AccumulateBinned)
+// instead of row-at-a-time, and split finding fans out across features
+// inside internal/tree.
 package hm
 
 import (
@@ -64,22 +65,6 @@ type Options struct {
 	// and the split-scan fan-out inside tree growth (0 = GOMAXPROCS,
 	// 1 = fully serial). The trained model is identical for any value.
 	Workers int
-	// NoBatch restores the row-at-a-time reference update path: float
-	// tree walks per training row instead of binned tree-at-a-time
-	// accumulation, and (via tree.Options) the exact per-node histogram
-	// scan instead of the sibling-subtraction fast path. Predictions of
-	// the two modes agree within the tolerance documented in DESIGN.md
-	// §13 (the fast tree scan uses reciprocal-table arithmetic, so a
-	// split whose gain ties another within rounding noise may resolve
-	// differently); each mode on its own is deterministic for any
-	// Workers/GOMAXPROCS. The flag exists so benchmarks and equivalence
-	// tests can compare against the pre-optimization baseline.
-	NoBatch bool
-	// ExactHistograms grows trees with the reference per-node histogram
-	// scan while keeping the batched update path — unlike NoBatch it
-	// changes only tree growth, letting tests isolate the two contracts
-	// (DESIGN.md §13). NoBatch implies it.
-	ExactHistograms bool
 	// Seed drives bootstrapping and the train/validation split.
 	Seed int64
 	// Obs, when non-nil, receives training metrics: trees grown,
@@ -306,7 +291,7 @@ type trainer struct {
 	yFit    []float64 // training targets in fit space (log or raw)
 	// trainBM/valBM are the train and validation rows pre-encoded into
 	// the builder's bins, so every boosting round updates predictions by
-	// walking the fresh tree over cached byte columns (nil under NoBatch).
+	// walking the fresh tree over cached byte columns.
 	trainBM *tree.BinMatrix
 	valBM   *tree.BinMatrix
 }
@@ -318,10 +303,8 @@ func newTrainer(trainDS, valDS *model.Dataset, opt Options) *trainer {
 		train:   trainDS, val: valDS,
 		yFit: make([]float64, trainDS.Len()),
 	}
-	if !opt.NoBatch {
-		t.trainBM = t.builder.Binned()
-		t.valBM = t.builder.Bin(valDS.Features)
-	}
+	t.trainBM = t.builder.Binned()
+	t.valBM = t.builder.Bin(valDS.Features)
 	t.builder.Instrument(opt.Obs)
 	for i, v := range trainDS.Targets {
 		if opt.NoLogTarget {
@@ -369,13 +352,7 @@ func (t *trainer) firstOrderProcedure(rng *rand.Rand, abort *atomic.Bool) *first
 func (t *trainer) boost(fo *firstOrder, pred, valPred []float64, budget int, rng *rand.Rand, abort *atomic.Bool) int {
 	n := t.train.Len()
 	resid := make([]float64, n)
-	gOpt := tree.Options{
-		MaxSplits:       t.opt.TreeComplexity,
-		MinLeaf:         t.opt.MinLeaf,
-		Workers:         t.opt.workers(),
-		NoBatch:         t.opt.NoBatch,
-		ExactHistograms: t.opt.ExactHistograms,
-	}
+	gOpt := tree.Options{MaxSplits: t.opt.TreeComplexity, MinLeaf: t.opt.MinLeaf, Workers: t.opt.workers()}
 
 	grown := 0
 	bestErr := math.Inf(1)
@@ -392,17 +369,8 @@ func (t *trainer) boost(fo *firstOrder, pred, valPred []float64, budget int, rng
 		tr := t.builder.Grow(resid, idx, gOpt, rng)
 		fo.trees = append(fo.trees, tr)
 		grown++
-		if t.opt.NoBatch {
-			for i, x := range t.train.Features {
-				pred[i] += fo.lr * tr.Predict(x)
-			}
-			for i, x := range t.val.Features {
-				valPred[i] += fo.lr * tr.Predict(x)
-			}
-		} else {
-			tr.AccumulateBinned(t.trainBM, fo.lr, pred)
-			tr.AccumulateBinned(t.valBM, fo.lr, valPred)
-		}
+		tr.AccumulateBinned(t.trainBM, fo.lr, pred)
+		tr.AccumulateBinned(t.valBM, fo.lr, valPred)
 		if (k+1)%checkEvery == 0 {
 			e := t.relErr(valPred)
 			if e < bestErr-1e-5 {
@@ -418,18 +386,6 @@ func (t *trainer) boost(fo *firstOrder, pred, valPred []float64, budget int, rng
 	}
 	t.opt.Obs.Counter("hm.boost.rounds").Add(int64(grown))
 	return grown
-}
-
-// subPredictions fills out with s's fit-space predictions over X, via the
-// batch path unless the reference (NoBatch) mode is active.
-func (t *trainer) subPredictions(s *firstOrder, X [][]float64, out []float64) {
-	if t.opt.NoBatch {
-		for i, x := range X {
-			out[i] = s.predict(x)
-		}
-		return
-	}
-	s.predictBatch(X, out)
 }
 
 // relErr computes the mean Eq. 2 error of fit-space predictions against
@@ -461,7 +417,7 @@ func (t *trainer) fitCoefs(subs []*firstOrder) []float64 {
 	preds := make([][]float64, k)
 	for j, s := range subs {
 		preds[j] = make([]float64, t.val.Len())
-		t.subPredictions(s, t.val.Features, preds[j])
+		s.predictBatch(t.val.Features, preds[j])
 	}
 	yv := make([]float64, t.val.Len())
 	for i, v := range t.val.Targets {
@@ -502,7 +458,7 @@ func (t *trainer) valError(subs []*firstOrder, coefs []float64) float64 {
 	acc := make([]float64, t.val.Len())
 	tmp := make([]float64, t.val.Len())
 	for j, s := range subs {
-		t.subPredictions(s, t.val.Features, tmp)
+		s.predictBatch(t.val.Features, tmp)
 		for i := range acc {
 			acc[i] += coefs[j] * tmp[i]
 		}

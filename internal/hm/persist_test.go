@@ -2,9 +2,13 @@ package hm
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/tree"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -36,16 +40,15 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 // TestLegacySnapshotLoadsBitIdentically pins backward compatibility
-// with snapshots written before the fast histogram path existed: a
-// model trained under ExactHistograms grows byte-for-byte the same
-// trees the reference implementation always did, so its snapshot
-// stands in for a legacy v2 stream. It must load with bit-identical
-// predictions, and the loaded model must resume training on the new
-// fast path without error.
+// with v2 snapshots written before the fast histogram path existed.
+// What such a stream must reproduce is the stored trees — thresholds,
+// leaves and bin codes against the stored edges — not the split search
+// that grew them, so a snapshot of a default-trained model stands in
+// for it. It must load with bit-identical predictions, and the loaded
+// model must resume by replaying its stored codes on the binned path.
 func TestLegacySnapshotLoadsBitIdentically(t *testing.T) {
 	ds := synthDS(500, 43)
-	m, err := Train(ds, Options{Trees: 120, LearningRate: 0.1, TreeComplexity: 5,
-		Seed: 7, ExactHistograms: true})
+	m, err := Train(ds, Options{Trees: 120, LearningRate: 0.1, TreeComplexity: 5, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,12 +67,15 @@ func TestLegacySnapshotLoadsBitIdentically(t *testing.T) {
 			t.Fatalf("legacy-shape snapshot predicts differently after reload: %v != %v", a, b)
 		}
 	}
-	// Resuming a legacy-shape model uses the fast path by default.
-	if err := Resume(back, ds, Options{Trees: 140, LearningRate: 0.1, TreeComplexity: 5, Seed: 7}, 20); err != nil {
+	reg := obs.NewRegistry()
+	if err := Resume(back, ds, Options{Trees: 140, LearningRate: 0.1, TreeComplexity: 5, Seed: 7, Obs: reg}, 20); err != nil {
 		t.Fatal(err)
 	}
 	if back.NumTrees() <= m.NumTrees() {
 		t.Fatalf("resume grew no trees: %d -> %d", m.NumTrees(), back.NumTrees())
+	}
+	if got := reg.Counter("hm.resume.binned.trees").Value(); got != int64(len(m.subs[len(m.subs)-1].trees)) {
+		t.Fatalf("resume replayed %d trees from stored codes, want %d", got, len(m.subs[len(m.subs)-1].trees))
 	}
 }
 
@@ -79,5 +85,16 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewReader(nil)); err == nil {
 		t.Error("empty stream should fail to load")
+	}
+	// A well-formed stream whose tree's right child points back at its
+	// root: Predict on it would never return.
+	var buf bytes.Buffer
+	cyclic := snapshot{Version: snapshotVersion, Coefs: []float64{1}, Subs: []snapshotFO{{LR: 0.1,
+		Trees: [][]tree.FlatNode{{{Feature: 0, Left: 1, Right: 0}, {Leaf: true, Value: 1}}}}}}
+	if err := gob.NewEncoder(&buf).Encode(cyclic); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&buf); err == nil {
+		t.Error("snapshot with a cyclic tree should fail to load")
 	}
 }

@@ -67,7 +67,7 @@ func Resume(m *Model, ds *model.Dataset, opt Options, extra int) error {
 	// its last boosting round left off at, preferring the binned path
 	// when the model still knows the edges its codes refer to.
 	d := len(trainDS.Features[0])
-	if !opt.NoBatch && len(m.edges) == d && m.hasBinCodes() {
+	if len(m.edges) == d && m.hasBinCodes() {
 		trainOld := tree.BinWithEdges(m.edges, trainDS.Features)
 		valOld := tree.BinWithEdges(m.edges, valDS.Features)
 		for _, t := range fo.trees {

@@ -57,8 +57,7 @@ func TestResumeAfterSaveLoadBitIdentical(t *testing.T) {
 }
 
 // TestResumeLegacyV1Snapshot pins backward compatibility: a version-1
-// stream (no bin edges, no codes — gob omits the zero-valued new fields,
-// so this encodes exactly what the old schema wrote) must load, and
+// stream (no bin edges, no codes) must load, and
 // Resume must continue it through the float replay path to the same model
 // the binned path produces.
 func TestResumeLegacyV1Snapshot(t *testing.T) {
@@ -68,19 +67,7 @@ func TestResumeLegacyV1Snapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := snapshot{Version: 1, Log: m.log, Order: m.Order, ValErr: m.ValErr, Coefs: m.coefs}
-	for _, fo := range m.subs {
-		sf := snapshotFO{Base: fo.base, LR: fo.lr, Trees: make([][]tree.FlatNode, len(fo.trees))}
-		for i, tr := range fo.trees {
-			sf.Trees[i] = tr.Flatten()
-		}
-		s.Subs = append(s.Subs, sf)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := Load(&buf)
+	legacy, err := Load(bytes.NewReader(encodeV1(t, m)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,14 +88,34 @@ func TestResumeLegacyV1Snapshot(t *testing.T) {
 	}
 }
 
+// encodeV1 writes m in the version-1 snapshot schema: no bin edges, no
+// codes. gob omits the zero-valued version-2 fields, so this is exactly
+// what the old schema wrote.
+func encodeV1(t testing.TB, m *Model) []byte {
+	t.Helper()
+	s := snapshot{Version: 1, Log: m.log, Order: m.Order, ValErr: m.ValErr, Coefs: m.coefs}
+	for _, fo := range m.subs {
+		sf := snapshotFO{Base: fo.base, LR: fo.lr, Trees: make([][]tree.FlatNode, len(fo.trees))}
+		for i, tr := range fo.trees {
+			sf.Trees[i] = tr.Flatten()
+		}
+		s.Subs = append(s.Subs, sf)
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestResumeBinnedMatchesFloatReplay pins the replay paths against each
-// other on one model: NoBatch forces the float walk, which must leave a
-// model bit-identical to the binned replay.
+// other on one model: clearing the edges — as Resume does when new data
+// rebins differently — forces the float walk even though every tree
+// still carries bin codes, and must leave a model bit-identical to the
+// binned replay. (TestResumeLegacyV1Snapshot covers trees without codes.)
 func TestResumeBinnedMatchesFloatReplay(t *testing.T) {
 	ds := synthDS(500, 95)
-	// ExactHistograms on both sides keeps tree growth identical (NoBatch
-	// implies it), so the comparison isolates the replay paths alone.
-	opt := Options{Trees: 80, LearningRate: 0.1, TreeComplexity: 5, Seed: 13, ExactHistograms: true}
+	opt := Options{Trees: 80, LearningRate: 0.1, TreeComplexity: 5, Seed: 13}
 	a, err := Train(ds, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -117,13 +124,18 @@ func TestResumeBinnedMatchesFloatReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	b.edges = nil
+	reg := obs.NewRegistry()
 	optF := opt
-	optF.NoBatch = true
+	optF.Obs = reg
 	if err := Resume(a, ds, opt, 25); err != nil {
 		t.Fatal(err)
 	}
 	if err := Resume(b, ds, optF, 25); err != nil {
 		t.Fatal(err)
+	}
+	if got := reg.Counter("hm.resume.binned.trees").Value(); got != 0 {
+		t.Fatalf("edge-less model replayed %d trees on the binned path", got)
 	}
 	probe := synthDS(100, 96)
 	for i, x := range probe.Features {

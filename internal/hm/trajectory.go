@@ -48,7 +48,7 @@ func Trajectory(ds *model.Dataset, opt Options, checkpoints []int) ([]float64, e
 		valPred[i] = base
 	}
 	resid := make([]float64, n)
-	gOpt := tree.Options{MaxSplits: opt.TreeComplexity, MinLeaf: opt.MinLeaf, Workers: opt.workers(), NoBatch: opt.NoBatch, ExactHistograms: opt.ExactHistograms}
+	gOpt := tree.Options{MaxSplits: opt.TreeComplexity, MinLeaf: opt.MinLeaf, Workers: opt.workers()}
 
 	errAt := make(map[int]float64, len(sorted))
 	next := 0
@@ -58,17 +58,8 @@ func Trajectory(ds *model.Dataset, opt Options, checkpoints []int) ([]float64, e
 		}
 		idx := model.Bootstrap(n, rng)
 		tr := t.builder.Grow(resid, idx, gOpt, rng)
-		if opt.NoBatch {
-			for i, x := range trainDS.Features {
-				pred[i] += opt.LearningRate * tr.Predict(x)
-			}
-			for i, x := range valDS.Features {
-				valPred[i] += opt.LearningRate * tr.Predict(x)
-			}
-		} else {
-			tr.AccumulateBinned(t.trainBM, opt.LearningRate, pred)
-			tr.AccumulateBinned(t.valBM, opt.LearningRate, valPred)
-		}
+		tr.AccumulateBinned(t.trainBM, opt.LearningRate, pred)
+		tr.AccumulateBinned(t.valBM, opt.LearningRate, valPred)
 		for next < len(sorted) && sorted[next] == k {
 			errAt[k] = t.relErr(valPred)
 			next++

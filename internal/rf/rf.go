@@ -36,11 +36,6 @@ type Options struct {
 	Workers int
 	// Seed drives bagging and feature sampling.
 	Seed int64
-	// ExactHistograms grows trees with the reference per-node histogram
-	// scan instead of the sibling-subtraction fast path (see
-	// tree.Options.ExactHistograms and DESIGN.md §13). Benchmarks and
-	// equivalence tests only.
-	ExactHistograms bool
 }
 
 // workers resolves the effective training parallelism. The default is
@@ -182,7 +177,7 @@ func Train(ds *model.Dataset, opt Options) (*Forest, error) {
 		seeds[k] = rng.Int63()
 	}
 	builder := tree.NewBuilder(ds.Features)
-	gOpt := tree.Options{MaxSplits: opt.MaxSplits, MinLeaf: opt.MinLeaf, FeatureFrac: opt.FeatureFrac, ExactHistograms: opt.ExactHistograms}
+	gOpt := tree.Options{MaxSplits: opt.MaxSplits, MinLeaf: opt.MinLeaf, FeatureFrac: opt.FeatureFrac}
 	f := &Forest{log: !opt.NoLogTarget, trees: make([]*tree.Tree, opt.Trees)}
 	grow := func(k int) {
 		trng := rand.New(rand.NewSource(seeds[k]))

@@ -26,11 +26,8 @@ import (
 // the batches can never mix rows from different model versions.
 
 // ServingOptions tune the hot serving path. The zero value selects the
-// defaults; Disabled falls back to the original Load-per-request path
-// (the baseline `dac bench -serve` measures against).
+// defaults.
 type ServingOptions struct {
-	// Disabled routes /predict through registry.Load on every request.
-	Disabled bool
 	// CoalesceWindow is how long the first request of a batch waits for
 	// company before flushing (default 200µs; negative flushes
 	// immediately, coalescing only what arrived in the meantime).

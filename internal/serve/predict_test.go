@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
@@ -17,21 +16,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/obs"
 )
-
-// newTestServerOpts is newTestServer with explicit serving options.
-func newTestServerOpts(t *testing.T, opt ServerOptions) (*Server, *httptest.Server) {
-	t.Helper()
-	s, err := NewServerOpts(t.TempDir(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		s.Close()
-	})
-	return s, ts
-}
 
 // spaceDataset builds a training set over the standard configuration
 // space — rows are encoded configurations with a trailing datasize,
@@ -261,34 +245,6 @@ func TestServeEquivalenceAllBackends(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestPredictDisabledHotPath keeps the Load-per-request fallback alive:
-// with serving disabled the endpoint still answers (it is the baseline
-// `dac bench -serve` measures), and no cache metrics move.
-func TestPredictDisabledHotPath(t *testing.T) {
-	r := obs.NewRegistry()
-	s, ts := newTestServerOpts(t, ServerOptions{Workers: 1, Obs: r, Serving: ServingOptions{Disabled: true}})
-	registerSpaceModel(t, s, "hm", "m", 31)
-	if s.Cache() != nil {
-		t.Fatal("disabled serving still built a cache")
-	}
-	vec := conf.StandardSpace().Random(rand.New(rand.NewSource(2))).Vector()
-	var resp predictResponse
-	if code := postJSON(t, ts.URL+"/models/m/predict",
-		map[string]any{"vector": vec, "dsize_mb": 200}, &resp); code != http.StatusOK {
-		t.Fatalf("predict returned %d: %s", code, resp.Error)
-	}
-	ref, _, err := s.Manager().Models().Load("m", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := ref.Predict(append(vec, 200.0)); resp.PredictedSec != want {
-		t.Fatalf("fallback predicts %v, reference %v", resp.PredictedSec, want)
-	}
-	if r.Counter("serve.modelcache.hits").Value() != 0 || r.Counter("serve.modelcache.misses").Value() != 0 {
-		t.Fatal("cache counters moved with serving disabled")
 	}
 }
 

@@ -38,8 +38,9 @@ func newTokenLimiter(rps float64) *tokenLimiter {
 }
 
 // allow consumes one request slot from key's bucket at time now,
-// reporting whether the request is within the rate.
-func (l *tokenLimiter) allow(key string, now time.Time) bool {
+// reporting whether the request is within the rate. A rejected request
+// also learns how long until the bucket next holds a whole slot.
+func (l *tokenLimiter) allow(key string, now time.Time) (ok bool, wait time.Duration) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	b, ok := l.buckets[key]
@@ -63,7 +64,7 @@ func (l *tokenLimiter) allow(key string, now time.Time) bool {
 	b.last = now
 	if b.tokens >= 1 {
 		b.tokens--
-		return true
+		return true, 0
 	}
-	return false
+	return false, time.Duration((1 - b.tokens) / l.rps * float64(time.Second))
 }

@@ -14,19 +14,20 @@ import (
 func TestTokenLimiterBurstRefillAndIsolation(t *testing.T) {
 	l := newTokenLimiter(1) // 1 req/sec, burst 1
 	t0 := time.Unix(1000, 0)
-	if !l.allow("alice", t0) {
+	allow := func(key string, at time.Duration) (bool, time.Duration) { return l.allow(key, t0.Add(at)) }
+	if ok, _ := allow("alice", 0); !ok {
 		t.Fatal("first request rejected")
 	}
-	if l.allow("alice", t0) {
-		t.Fatal("second immediate request allowed past burst 1")
+	if ok, wait := allow("alice", 0); ok || wait != time.Second {
+		t.Fatalf("second immediate request: ok=%v wait=%v, want rejected with 1s wait", ok, wait)
 	}
-	if !l.allow("bob", t0) {
+	if ok, _ := allow("bob", 0); !ok {
 		t.Fatal("distinct token throttled by alice's bucket")
 	}
-	if l.allow("alice", t0.Add(200*time.Millisecond)) {
-		t.Fatal("allowed before a full refill interval")
+	if ok, wait := allow("alice", 200*time.Millisecond); ok || wait != 800*time.Millisecond {
+		t.Fatalf("before a full refill: ok=%v wait=%v, want rejected with 800ms wait", ok, wait)
 	}
-	if !l.allow("alice", t0.Add(1100*time.Millisecond)) {
+	if ok, _ := allow("alice", 1100*time.Millisecond); !ok {
 		t.Fatal("rejected after refill")
 	}
 }
@@ -50,8 +51,8 @@ func TestTokenLimiterSweepsIdleBuckets(t *testing.T) {
 
 // TestServeRateLimit429 drives the HTTP path: with -rate-limit 1, the
 // second immediate mutating request from the same bearer token must
-// answer 429 and bump serve.auth.throttled, while a different token
-// passes the limiter.
+// answer 429 with a Retry-After header and bump serve.auth.throttled,
+// while a different token passes the limiter.
 func TestServeRateLimit429(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, err := NewServerOpts(t.TempDir(), ServerOptions{Workers: 1, Obs: reg, RateLimit: 1})
@@ -61,6 +62,7 @@ func TestServeRateLimit429(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() { ts.Close(); s.Close() })
 
+	var retryAfter string
 	post := func(token string) int {
 		req, err := http.NewRequest("POST", ts.URL+"/jobs", bytes.NewReader([]byte("{}")))
 		if err != nil {
@@ -74,6 +76,7 @@ func TestServeRateLimit429(t *testing.T) {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
+		retryAfter = resp.Header.Get("Retry-After")
 		return resp.StatusCode
 	}
 
@@ -84,6 +87,11 @@ func TestServeRateLimit429(t *testing.T) {
 	}
 	if code := post("alice"); code != http.StatusTooManyRequests {
 		t.Fatalf("second immediate request = %d, want 429", code)
+	}
+	// At 1 req/sec the bucket refills within a second: Retry-After
+	// rounds the wait up to whole seconds.
+	if retryAfter != "1" {
+		t.Fatalf("429 Retry-After = %q, want \"1\"", retryAfter)
 	}
 	if code := post("bob"); code == http.StatusTooManyRequests {
 		t.Fatal("distinct token throttled")

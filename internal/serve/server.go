@@ -4,6 +4,7 @@ import (
 	"crypto/subtle"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -35,8 +36,8 @@ type Server struct {
 	manager *Manager
 	obs     *obs.Registry
 	mux     *http.ServeMux
-	// cache is the hot serving path (hotcache.go); nil when
-	// ServingOptions.Disabled routes predicts through registry.Load.
+	// cache is the hot serving path (hotcache.go) every predict
+	// resolves its model through.
 	cache *ModelCache
 	space *conf.Space
 	// fleet is the sweep coordinator (nil without FleetOptions.Enabled);
@@ -136,15 +137,13 @@ func NewServerOpts(dataDir string, opt ServerOptions) (*Server, error) {
 		mgr.SetFleet(s.fleet)
 		s.fleet.Routes(s.mux, s.requireAuth)
 	}
-	if !opt.Serving.Disabled {
-		s.cache = NewModelCache(mgr.Models(), opt.Serving, reg)
-		// New registrations (train/tune jobs) swap into the cache as
-		// they land, so version-0 predicts follow retrains immediately.
-		mgr.Models().SetOnSave(s.cache.Refresh)
-		// Warm every registry latest now, instead of faulting decodes on
-		// the first predicts after a restart.
-		s.cache.WarmAll()
-	}
+	s.cache = NewModelCache(mgr.Models(), opt.Serving, reg)
+	// New registrations (train/tune jobs) swap into the cache as they
+	// land, so version-0 predicts follow retrains immediately.
+	mgr.Models().SetOnSave(s.cache.Refresh)
+	// Warm every registry latest now, instead of faulting decodes on the
+	// first predicts after a restart.
+	s.cache.WarmAll()
 	s.mux.Handle("POST /jobs", s.requireAuth(http.HandlerFunc(s.handleSubmit)))
 	s.mux.HandleFunc("GET /jobs", s.handleListJobs)
 	s.mux.HandleFunc("GET /jobs/{id}", s.handleGetJob)
@@ -175,10 +174,15 @@ func (s *Server) Fleet() *fleet.Coordinator { return s.fleet }
 func (s *Server) requireAuth(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		tok, _ := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
-		if s.limiter != nil && !s.limiter.allow(tok, time.Now()) {
-			s.authThrottled.Inc()
-			writeError(w, http.StatusTooManyRequests, fmt.Errorf("rate limit exceeded for this token"))
-			return
+		if s.limiter != nil {
+			if ok, wait := s.limiter.allow(tok, time.Now()); !ok {
+				s.authThrottled.Inc()
+				// Whole seconds, rounded up: a client retrying after the
+				// header's delay always finds a slot.
+				w.Header().Set("Retry-After", strconv.Itoa(max(1, int(math.Ceil(wait.Seconds())))))
+				writeError(w, http.StatusTooManyRequests, fmt.Errorf("rate limit exceeded for this token"))
+				return
+			}
 		}
 		if s.authToken != "" {
 			if subtle.ConstantTimeCompare([]byte(tok), []byte(s.authToken)) != 1 {
@@ -191,7 +195,7 @@ func (s *Server) requireAuth(h http.Handler) http.Handler {
 	})
 }
 
-// Cache exposes the hot-model cache (nil when serving is disabled).
+// Cache exposes the hot-model cache.
 func (s *Server) Cache() *ModelCache { return s.cache }
 
 // Close shuts the worker pool down; see Manager.Close for durability.
@@ -319,27 +323,14 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Resolve the model first: an unknown model or version is 404
-	// regardless of what else is wrong with the request. The hot path
-	// resolves from the pinned cache — one atomic load on a hit; the
-	// disabled path is the original Load-per-request decode.
-	var (
-		meta ModelMeta
-		hot  *hotModel
-		mdl  model.Model
-		err  error
-	)
-	if s.cache != nil {
-		hot, err = s.cache.Entry(name, req.Version)
-		if err == nil {
-			meta = hot.Meta()
-		}
-	} else {
-		mdl, meta, err = s.manager.Models().Load(name, req.Version)
-	}
+	// regardless of what else is wrong with the request. The pinned
+	// cache answers with one atomic load on a hit.
+	hot, err := s.cache.Entry(name, req.Version)
 	if err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
+	meta := hot.Meta()
 	var cfg conf.Config
 	if req.Vector != nil {
 		cfg, err = s.space.FromVector(req.Vector)
@@ -375,12 +366,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	x := append(cfg.Vector(), dsize)
-	var pred float64
-	if hot != nil {
-		pred = hot.Predict(x)
-	} else {
-		pred = mdl.Predict(x)
-	}
+	pred := hot.Predict(x)
 	s.predicts.Inc()
 	s.predictLatency.Observe(time.Since(start).Seconds())
 	writeJSON(w, http.StatusOK, map[string]any{

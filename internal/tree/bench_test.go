@@ -44,19 +44,18 @@ func BenchmarkGrowTC5(b *testing.B) {
 	}
 }
 
-// BenchmarkGrowTC5Exact is BenchmarkGrowTC5 under the reference
-// per-node histogram scan (Options.ExactHistograms) — the baseline the
-// sibling-subtraction fast path is measured against (the `tree_grow`
-// pair in BENCH_model.json, guarded in CI).
+// BenchmarkGrowTC5Exact is BenchmarkGrowTC5 on the exact oracle
+// (exactGrow) — the baseline the sibling-subtraction fast path must
+// beat (guarded in CI).
 func BenchmarkGrowTC5Exact(b *testing.B) {
 	X, y := benchData(2000, 42)
 	builder := NewBuilder(X)
 	idx := allIdx(2000)
-	opt := Options{MaxSplits: 5, ExactHistograms: true}
+	opt := Options{MaxSplits: 5}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		builder.Grow(y, idx, opt, nil)
+		exactGrow(builder, y, idx, opt, nil)
 	}
 }
 

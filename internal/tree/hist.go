@@ -2,11 +2,10 @@ package tree
 
 // This file is the fast histogram split search: flat structure-of-arrays
 // bin statistics, sibling-histogram subtraction, and a feature-parallel
-// build. It is the default Grow path; Options.ExactHistograms (and
-// NoBatch) keep the reference per-node scan in tree.go alive for
-// equivalence tests and benchmarks. The contract between the two modes —
-// where they are bit-identical and where only a tolerance holds — is
-// DESIGN.md §13.
+// build — Grow's only split search. The plain per-node exact scan it
+// replaced lives on as a test oracle (exact_test.go); the contract
+// between the two — where they are bit-identical and where only a
+// tolerance holds — is DESIGN.md §13.
 
 import (
 	"math"
@@ -332,7 +331,7 @@ func recipTable(n int) []float64 {
 // the first maximum — the reference scan's tie-breaking rule. The score
 // uses table-lookup reciprocal multiplies (sL²·recip[nL] instead of
 // sL²/nL), which differ from the reference's divisions in the last
-// bits: gains agree with scanFeatures only within rounding tolerance,
+// bits: gains agree with the exact oracle only within rounding tolerance,
 // part of the fast path's documented contract (DESIGN.md §13).
 func (b *Builder) scanHist(h *hist, feats []int, recip []float64, sumTot float64, nTot, minLeaf int) (gain float64, pos, bin, nLBest int) {
 	baseScore := sumTot * sumTot / float64(nTot)
@@ -447,9 +446,8 @@ func permInto(rng *rand.Rand, m []int) {
 }
 
 // grower is one Grow call's split-finding state. It dispatches each
-// leaf's search to one of three paths:
+// leaf's search to one of two paths:
 //
-//   - exact: the reference bestSplit (Options.ExactHistograms/NoBatch);
 //   - subtract: no feature sampling — every expandable leaf retains its
 //     histogram, and each split builds only the smaller child's
 //     histogram directly, deriving the larger as parent − sibling;
@@ -463,7 +461,6 @@ type grower struct {
 	opt Options
 	rng *rand.Rand
 
-	exact    bool
 	subtract bool
 	feats    []int     // candidate features in subtract mode (all of them)
 	mtry     int       // sampled feature count in sampled mode
@@ -474,10 +471,6 @@ type grower struct {
 
 // init configures the grower for one Grow call over rootRows rows.
 func (g *grower) init(rootRows int) {
-	g.exact = g.opt.exact()
-	if g.exact {
-		return
-	}
 	g.recip = g.b.recip
 	if rootRows >= len(g.recip) {
 		// Bootstrap samples larger than the training matrix (possible via
@@ -500,29 +493,21 @@ func (g *grower) init(rootRows int) {
 func (g *grower) workers() int { return g.opt.Workers }
 
 func (g *grower) findRoot(lr *leafRec) {
-	switch {
-	case g.exact:
-		lr.gain, lr.feature, lr.bin = g.b.bestSplit(g.y, lr.idx, g.opt, g.rng)
-	case !g.subtract:
+	if !g.subtract {
 		g.findSampled(lr)
-	default:
-		if len(lr.idx) >= 2*g.opt.minLeaf() {
-			lr.h = g.b.getHist()
-			g.b.buildHist(lr.h, g.y, lr.idx, g.feats, g.workers())
-		}
-		g.scanLeaf(lr)
+		return
 	}
+	if len(lr.idx) >= 2*g.opt.minLeaf() {
+		lr.h = g.b.getHist()
+		g.b.buildHist(lr.h, g.y, lr.idx, g.feats, g.workers())
+	}
+	g.scanLeaf(lr)
 }
 
 // findChildren computes both children's best splits after parent was
 // expanded. In subtract mode this is where the tentpole saving lands:
 // only the smaller child's rows are ever accumulated.
 func (g *grower) findChildren(parent, left, right *leafRec) {
-	if g.exact {
-		left.gain, left.feature, left.bin = g.b.bestSplit(g.y, left.idx, g.opt, g.rng)
-		right.gain, right.feature, right.bin = g.b.bestSplit(g.y, right.idx, g.opt, g.rng)
-		return
-	}
 	if !g.subtract {
 		g.findSampled(left)
 		g.findSampled(right)

@@ -44,7 +44,7 @@ func histDataset(n, d int, seed int64) ([][]float64, []float64) {
 
 // TestFastMatchesExactWithinTolerance pins the DESIGN.md §13 contract:
 // for every growth configuration, the fast path's predictions agree
-// with the exact reference within 1e-6 relative tolerance. Structure
+// with the exact oracle (exact_test.go) within 1e-6 relative tolerance. Structure
 // may differ where two candidate splits' gains tie within rounding
 // noise, so the assertion is on predictions, not node arrays.
 func TestFastMatchesExactWithinTolerance(t *testing.T) {
@@ -75,10 +75,8 @@ func TestFastMatchesExactWithinTolerance(t *testing.T) {
 					idx[i] = brng.Intn(c.n)
 				}
 			}
-			exOpt := c.opt
-			exOpt.ExactHistograms = true
 			fast := b.Grow(y, idx, c.opt, rand.New(rand.NewSource(21)))
-			exact := b.Grow(y, idx, exOpt, rand.New(rand.NewSource(21)))
+			exact := exactGrow(b, y, idx, c.opt, rand.New(rand.NewSource(21)))
 			probes, _ := histDataset(200, c.d, 12)
 			for i, x := range probes {
 				if a, e := fast.Predict(x), exact.Predict(x); relDiff(a, e) > tol {
@@ -118,8 +116,7 @@ func TestFastDeterministicAcrossWorkersAndGOMAXPROCS(t *testing.T) {
 }
 
 // TestHistCounters checks the tree.hist.{built,subtracted} instrumentation:
-// sibling subtraction fires only in full-feature fast mode, and the exact
-// reference never touches the histogram pipeline.
+// sibling subtraction fires only in full-feature mode.
 func TestHistCounters(t *testing.T) {
 	X, y := histDataset(600, 10, 41)
 	read := func(opt Options, rng *rand.Rand) (built, subtracted int64) {
@@ -139,11 +136,6 @@ func TestHistCounters(t *testing.T) {
 	// need more than one build per split plus the root.
 	if built > 6 {
 		t.Fatalf("fast mode built %d histograms for 5 splits, want <= 6", built)
-	}
-
-	built, subtracted = read(Options{MaxSplits: 5, ExactHistograms: true}, nil)
-	if built != 0 || subtracted != 0 {
-		t.Fatalf("exact mode: built=%d subtracted=%d, want 0/0", built, subtracted)
 	}
 
 	built, subtracted = read(Options{MaxSplits: 5, FeatureFrac: 0.5}, rand.New(rand.NewSource(3)))

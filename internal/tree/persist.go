@@ -47,6 +47,9 @@ func (t *Tree) Flatten() []FlatNode {
 
 // FromFlat rebuilds a tree from its flattened form, discarding bin codes:
 // the rebuilt tree predicts over float rows but cannot AccumulateBinned.
+// Every split's children must sit at higher indices than the split
+// itself, as Flatten emits them, so any walk from the root ends at a
+// leaf.
 // Split-gain metadata (feature importance) is not persisted.
 func FromFlat(nodes []FlatNode) (*Tree, error) {
 	if len(nodes) == 0 {
@@ -65,8 +68,14 @@ func FromFlat(nodes []FlatNode) (*Tree, error) {
 			t.leaves++
 			continue
 		}
-		if n.Left < 0 || int(n.Left) >= len(nodes) || n.Right < 0 || int(n.Right) >= len(nodes) {
+		if int(n.Left) >= len(nodes) || int(n.Right) >= len(nodes) {
 			return nil, fmt.Errorf("tree: node %d has child out of range", i)
+		}
+		// Grow and Flatten always place children after their parent. A
+		// child at or before its parent (a self-loop or back-edge in a
+		// corrupt snapshot) would send Predict round a cycle forever.
+		if int(n.Left) <= i || int(n.Right) <= i {
+			return nil, fmt.Errorf("tree: node %d has child %d/%d not after it", i, n.Left, n.Right)
 		}
 		if n.Feature < 0 {
 			return nil, fmt.Errorf("tree: node %d has negative feature", i)

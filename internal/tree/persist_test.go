@@ -81,3 +81,28 @@ func TestBinWithEdgesMatchesBuilderBin(t *testing.T) {
 		t.Fatal("BinWithEdges(builder.Edges(), rows) differs from builder.Bin(rows)")
 	}
 }
+
+// TestFromFlatRejectsMalformed pins the decoder's structural checks on
+// node lists read back from stored snapshots. A self-loop or back-edge
+// would otherwise load and send Predict round a cycle forever.
+func TestFromFlatRejectsMalformed(t *testing.T) {
+	leaf := FlatNode{Leaf: true, Value: 1}
+	for _, c := range []struct {
+		name  string
+		nodes []FlatNode
+	}{
+		{"empty", nil},
+		{"self-loop", []FlatNode{{Feature: 0, Left: 0, Right: 1}, leaf}},
+		{"back-edge", []FlatNode{{Feature: 0, Left: 1, Right: 2}, {Feature: 1, Left: 0, Right: 3}, leaf, leaf}},
+		{"negative-child", []FlatNode{{Feature: 0, Left: -1, Right: 1}, leaf}},
+		{"child-out-of-range", []FlatNode{{Feature: 0, Left: 1, Right: 2}, leaf}},
+		{"negative-feature", []FlatNode{{Feature: -1, Left: 1, Right: 2}, leaf, leaf}},
+	} {
+		if _, err := FromFlat(c.nodes); err == nil {
+			t.Errorf("%s: FromFlat accepted a malformed tree", c.name)
+		}
+		if _, err := FromFlatWithCodes(c.nodes); err == nil {
+			t.Errorf("%s: FromFlatWithCodes accepted a malformed tree", c.name)
+		}
+	}
+}

@@ -14,7 +14,6 @@
 package tree
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -34,32 +33,10 @@ type Options struct {
 	FeatureFrac float64
 	// Workers bounds the goroutines one split-finding scan may use on
 	// large nodes (0 or 1 = serial). The grown tree is identical for any
-	// value: feature chunks are scanned independently and merged with the
-	// serial first-maximum tie-breaking rule.
+	// value: feature chunks accumulate into disjoint histogram blocks and
+	// the split scan over them stays serial (hist.go).
 	Workers int
-	// NoBatch restores the reference one-feature-at-a-time split scan
-	// instead of the grouped scan, and implies ExactHistograms. The flag
-	// exists so benchmarks and equivalence tests can compare against the
-	// pre-optimization baseline.
-	NoBatch bool
-	// ExactHistograms restores the reference split search in which every
-	// node accumulates its own histogram directly from its rows. The
-	// default (false) is the fast path: without feature sampling each
-	// split builds only the smaller child's histogram and derives the
-	// larger one as parent − sibling, halving accumulation work per
-	// level. Derived sums can differ from directly-accumulated ones in
-	// the last floating-point bits, so a fast-path tree may pick a
-	// different split where two candidates' gains are within rounding
-	// noise of each other — the tolerance contract is documented in
-	// DESIGN.md §13. Both modes are deterministic for any
-	// Workers/GOMAXPROCS value.
-	ExactHistograms bool
 }
-
-// exact reports whether growth must use the reference per-node
-// histogram accumulation (NoBatch is the stricter reference mode and
-// implies it).
-func (o Options) exact() bool { return o.ExactHistograms || o.NoBatch }
 
 func (o Options) minLeaf() int {
 	if o.MinLeaf <= 0 {
@@ -388,9 +365,8 @@ type leafRec struct {
 	node int32
 	idx  []int
 	gain float64
-	// cached best split; nl is the winning split's left-side row count
-	// (0 = unknown: the exact path doesn't track it, and a winning split
-	// always has nl >= minLeaf >= 1).
+	// cached best split; nl is the winning split's left-side row count,
+	// which lets Grow's partition skip a counting pass.
 	feature int
 	bin     int
 	nl      int
@@ -440,13 +416,6 @@ func (b *Builder) Grow(y []float64, idx []int, opt Options, rng *rand.Rand) *Tre
 		// runs once per tree node across thousands of boosted trees.
 		col, ub := b.binned[f], uint8(bin)
 		nL := lr.nl
-		if nL == 0 { // exact path: count the left side first
-			for _, i := range lr.idx {
-				if col[i] <= ub {
-					nL++
-				}
-			}
-		}
 		mem := make([]int, len(lr.idx))
 		li, ri := mem[:nL:nL], mem[nL:]
 		lp, rp := 0, 0
@@ -465,13 +434,12 @@ func (b *Builder) Grow(y []float64, idx []int, opt Options, rng *rand.Rand) *Tre
 
 		leftRec := &leafRec{node: ln, idx: li}
 		rightRec := &leafRec{node: rn, idx: ri}
-		if splits+1 < opt.maxSplits() || g.exact {
+		if splits+1 < opt.maxSplits() {
 			g.findChildren(lr, leftRec, rightRec)
 		} else {
 			// Final split of the budget: these children can never be
-			// expanded, so the fast path skips their split search (and
-			// histogram work) entirely. The exact reference keeps the
-			// original always-search behavior.
+			// expanded, so their split search (and histogram work) is
+			// skipped entirely.
 			g.releaseLeaf(lr)
 		}
 		leaves[best] = leftRec
@@ -511,211 +479,4 @@ func meanAt(y []float64, idx []int) float64 {
 		s += y[i]
 	}
 	return s / float64(len(idx))
-}
-
-// bestSplit scans histogram statistics for the SSE-reducing split of idx.
-// It returns the gain (variance reduction × n, 0 if none), the feature and
-// the bin index whose edge is the threshold.
-func (b *Builder) bestSplit(y []float64, idx []int, opt Options, rng *rand.Rand) (gain float64, feature, bin int) {
-	nTot := len(idx)
-	if nTot < 2*opt.minLeaf() {
-		return 0, -1, -1
-	}
-	sumTot := 0.0
-	for _, i := range idx {
-		sumTot += y[i]
-	}
-
-	// Feature subsampling draws a non-empty subset per split (random
-	// forests); mtry = max(1, frac·d).
-	feats := b.allFeatures
-	if opt.FeatureFrac > 0 && opt.FeatureFrac < 1 && rng != nil {
-		mtry := int(opt.FeatureFrac*float64(b.d) + 0.5)
-		if mtry < 1 {
-			mtry = 1
-		}
-		feats = rng.Perm(b.d)[:mtry]
-	}
-
-	workers := opt.Workers
-	if workers > len(feats) {
-		workers = len(feats)
-	}
-	var pos int
-	if workers > 1 && nTot*len(feats) >= parallelScanMinWork {
-		gain, pos, bin = b.scanFeaturesParallel(y, idx, feats, sumTot, nTot, opt.minLeaf(), workers, !opt.NoBatch)
-	} else {
-		gain, pos, bin = b.scanFeatures(y, idx, feats, sumTot, nTot, opt.minLeaf(), !opt.NoBatch)
-	}
-	if pos < 0 || math.IsNaN(gain) || gain <= 1e-12 {
-		return 0, -1, -1
-	}
-	return gain, feats[pos], bin
-}
-
-// groupScanMinRows is the node size at which the split scan switches to
-// the grouped accumulation (scanFeaturesGrouped); below it, the plain
-// one-feature-at-a-time pass is at least as fast. Both paths return
-// bit-identical results, so the threshold is purely a speed knob.
-const groupScanMinRows = 256
-
-// scanFeatures finds the best split over feats, returning the winning
-// position within feats (-1 if none). Ties keep the earliest position —
-// the first-maximum rule the parallel merge must reproduce. grouped
-// selects the batched accumulation for large nodes (false = the reference
-// scan; both are bit-identical).
-func (b *Builder) scanFeatures(y []float64, idx []int, feats []int, sumTot float64, nTot, minLeaf int, grouped bool) (gain float64, pos, bin int) {
-	if grouped && len(idx) >= groupScanMinRows && len(feats) >= 2 {
-		return b.scanFeaturesGrouped(y, idx, feats, sumTot, nTot, minLeaf)
-	}
-	baseScore := sumTot * sumTot / float64(nTot)
-	var cnt [maxBins]int
-	var sum [maxBins]float64
-	pos, bin = -1, -1
-	for fi, f := range feats {
-		if len(b.edges[f]) == 0 {
-			continue // constant feature
-		}
-		col := b.binned[f]
-		nb := len(b.edges[f]) + 1
-		for k := 0; k < nb; k++ {
-			cnt[k], sum[k] = 0, 0
-		}
-		for _, i := range idx {
-			k := col[i]
-			cnt[k]++
-			sum[k] += y[i]
-		}
-		nL, sL := 0, 0.0
-		for k := 0; k < nb-1; k++ { // split at edge k: bins <= k go left
-			nL += cnt[k]
-			sL += sum[k]
-			nR := nTot - nL
-			if nL < minLeaf || nR < minLeaf {
-				continue
-			}
-			sR := sumTot - sL
-			score := sL*sL/float64(nL) + sR*sR/float64(nR)
-			if g := score - baseScore; g > gain {
-				gain, pos, bin = g, fi, k
-			}
-		}
-	}
-	return gain, pos, bin
-}
-
-// scanFeaturesGrouped is the batched split scan: features are processed
-// four at a time, so one pass over the node's sample feeds four
-// independent histograms — the row index and target are loaded once per
-// row instead of once per feature, and the four floating-point
-// accumulation chains are independent. Per (feature, bin) the additions
-// happen in idx order exactly as in the plain scan, and features are
-// evaluated in the same ascending order, so results are bit-identical.
-func (b *Builder) scanFeaturesGrouped(y []float64, idx []int, feats []int, sumTot float64, nTot, minLeaf int) (gain float64, pos, bin int) {
-	baseScore := sumTot * sumTot / float64(nTot)
-	var cnt [4][maxBins]int32
-	var sum [4][maxBins]float64
-	pos, bin = -1, -1
-	for g := 0; g < len(feats); g += 4 {
-		gw := len(feats) - g
-		if gw > 4 {
-			gw = 4
-		}
-		for w := 0; w < gw; w++ {
-			nb := len(b.edges[feats[g+w]]) + 1
-			for k := 0; k < nb; k++ {
-				cnt[w][k], sum[w][k] = 0, 0
-			}
-		}
-		if gw == 4 {
-			c0, c1, c2, c3 := b.binned[feats[g]], b.binned[feats[g+1]], b.binned[feats[g+2]], b.binned[feats[g+3]]
-			for _, i := range idx {
-				yi := y[i]
-				k0 := c0[i]
-				cnt[0][k0]++
-				sum[0][k0] += yi
-				k1 := c1[i]
-				cnt[1][k1]++
-				sum[1][k1] += yi
-				k2 := c2[i]
-				cnt[2][k2]++
-				sum[2][k2] += yi
-				k3 := c3[i]
-				cnt[3][k3]++
-				sum[3][k3] += yi
-			}
-		} else {
-			for w := 0; w < gw; w++ {
-				col := b.binned[feats[g+w]]
-				hc, hs := &cnt[w], &sum[w]
-				for _, i := range idx {
-					k := col[i]
-					hc[k]++
-					hs[k] += y[i]
-				}
-			}
-		}
-		for w := 0; w < gw; w++ {
-			fi := g + w
-			edges := b.edges[feats[fi]]
-			if len(edges) == 0 {
-				continue // constant feature
-			}
-			nb := len(edges) + 1
-			nL, sL := 0, 0.0
-			for k := 0; k < nb-1; k++ { // split at edge k: bins <= k go left
-				nL += int(cnt[w][k])
-				sL += sum[w][k]
-				nR := nTot - nL
-				if nL < minLeaf || nR < minLeaf {
-					continue
-				}
-				sR := sumTot - sL
-				score := sL*sL/float64(nL) + sR*sR/float64(nR)
-				if gn := score - baseScore; gn > gain {
-					gain, pos, bin = gn, fi, k
-				}
-			}
-		}
-	}
-	return gain, pos, bin
-}
-
-// scanFeaturesParallel splits feats into contiguous chunks scanned
-// concurrently and merges the chunk winners in order with a strict
-// greater-than rule — together with the in-chunk first-maximum rule this
-// reproduces the serial scan's result exactly.
-func (b *Builder) scanFeaturesParallel(y []float64, idx []int, feats []int, sumTot float64, nTot, minLeaf, workers int, grouped bool) (gain float64, pos, bin int) {
-	type chunkBest struct {
-		gain float64
-		pos  int
-		bin  int
-	}
-	results := make([]chunkBest, workers)
-	var wg sync.WaitGroup
-	for c := 0; c < workers; c++ {
-		lo := c * len(feats) / workers
-		hi := (c + 1) * len(feats) / workers
-		if lo == hi {
-			results[c] = chunkBest{pos: -1, bin: -1}
-			continue
-		}
-		wg.Add(1)
-		go func(c, lo, hi int) {
-			defer wg.Done()
-			g, p, bn := b.scanFeatures(y, idx, feats[lo:hi], sumTot, nTot, minLeaf, grouped)
-			if p >= 0 {
-				p += lo
-			}
-			results[c] = chunkBest{gain: g, pos: p, bin: bn}
-		}(c, lo, hi)
-	}
-	wg.Wait()
-	gain, pos, bin = 0, -1, -1
-	for _, r := range results {
-		if r.pos >= 0 && r.gain > gain {
-			gain, pos, bin = r.gain, r.pos, r.bin
-		}
-	}
-	return gain, pos, bin
 }
