@@ -171,42 +171,84 @@ func lookupWorkload(abbr string) (*workloads.Workload, error) {
 	return w, nil
 }
 
+// newTuner wires the paper-budget tuner every pipeline subcommand runs.
 func newTuner(w *workloads.Workload, ntrain int, seed int64, reg *obs.Registry) *core.Tuner {
-	sim := sparksim.New(cluster.Standard(), seed+7)
-	sim.Instrument(reg)
-	budget := experiments.PaperBudget()
-	return &core.Tuner{
-		Space: conf.StandardSpace(),
-		// The batch executor lets the collector hand each worker's chunk
-		// to one sparksim.RunBatch call (bit-identical to per-job runs).
-		Exec: core.NewSimExecutor(sim, &w.Program),
-		Opt: core.Options{
-			NTrain: ntrain,
-			HM:     budget.HM,
-			GA:     budget.GA,
-			Seed:   seed,
-		},
-		Obs: reg,
-	}
+	b := experiments.PaperBudget()
+	return core.NewSimTuner(w, cluster.Standard(), core.Options{NTrain: ntrain, HM: b.HM, GA: b.GA, Seed: seed}, reg)
 }
 
-// selectBackend validates -model and, for non-default choices, routes the
-// tuner's modeling stage through that backend. The hm default keeps the
-// tuner's built-in HM path — output stays byte-identical to a build
-// without the backend layer.
+// selectBackend validates -model and routes the tuner's modeling stage
+// through that backend. The registry's hm carries the tuner's HM options,
+// so the default trains exactly as a tuner without a backend; only a
+// non-default choice is announced on stdout.
 func selectBackend(t *core.Tuner, name string, reg *obs.Registry) error {
 	b, err := backends.Default().Lookup(name)
 	if err != nil {
 		return err
 	}
-	if name == "hm" {
-		return nil
-	}
 	t.Opt.Backend = b
-	t.Opt.BackendTrain = model.TrainOpts{}
 	reg.Counter("model.backend." + name).Inc()
-	fmt.Printf("model backend: %s\n", name)
+	if name != "hm" {
+		fmt.Printf("model backend: %s\n", name)
+	}
 	return nil
+}
+
+// heldOut is the evaluation the tuning subcommands print: fresh runs on
+// simulator seed 99, not the training executions, with the default and
+// expert configurations as baselines.
+type heldOut struct {
+	prog     *sparksim.Program
+	sim      *sparksim.Simulator
+	def, exp conf.Config
+}
+
+func newHeldOut(w *workloads.Workload) heldOut {
+	space := conf.StandardSpace()
+	return heldOut{
+		prog: &w.Program,
+		sim:  sparksim.New(cluster.Standard(), 99),
+		def:  space.Default(),
+		exp:  expert.Config(space, cluster.Standard()),
+	}
+}
+
+// run measures cfg at mb megabytes of input.
+func (h heldOut) run(mb float64, cfg conf.Config) float64 {
+	return h.sim.Run(h.prog, mb, cfg).TotalSec
+}
+
+// report prints a tuned configuration with its predicted and measured
+// time and its speedup over both baselines.
+func (h heldOut) report(mb float64, best conf.Config, predicted float64) {
+	tDAC, tDef, tExp := h.run(mb, best), h.run(mb, h.def), h.run(mb, h.exp)
+	fmt.Printf("\ntuned configuration (spark-dac.conf):\n%s\n", best)
+	fmt.Printf("\npredicted: %.1fs   measured: %.1fs\n", predicted, tDAC)
+	fmt.Printf("default:   %.1fs   (speedup %.1fx)\n", tDef, tDef/tDAC)
+	fmt.Printf("expert:    %.1fs   (speedup %.1fx)\n", tExp, tExp/tDAC)
+}
+
+// fitCSV reads a training CSV from `dac collect` and fits HM on it at
+// the paper budget.
+func fitCSV(cmd, path string, seed int64, reg *obs.Registry) (*model.Dataset, *hm.Model, error) {
+	if path == "" {
+		return nil, nil, fmt.Errorf("%s: -in is required", cmd)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer f.Close()
+	set, err := dataset.ReadCSV(f, conf.StandardSpace())
+	if err != nil {
+		return nil, nil, err
+	}
+	ds := set.ToDataset()
+	hmOpt := experiments.PaperBudget().HM
+	hmOpt.Seed = seed
+	hmOpt.Obs = reg
+	m, err := hm.Train(ds, hmOpt)
+	return ds, m, err
 }
 
 // selectSearcher validates -searcher and routes the tuner's searching
@@ -244,7 +286,7 @@ func cmdCollect(args []string) error {
 	}
 	reg := of.registry()
 	t := newTuner(w, *n, *seed, reg)
-	sizes := t.TrainingSizesMB(w.InputMB(w.Sizes[0])*0.8, w.InputMB(w.Sizes[len(w.Sizes)-1])*1.1)
+	sizes := t.TrainingSizesMB(w.TrainingRangeMB())
 	set, ov, err := t.Collect(sizes)
 	if err != nil {
 		return err
@@ -292,10 +334,7 @@ func cmdTune(args []string) error {
 	if err != nil {
 		return err
 	}
-	units := *size
-	if units == 0 {
-		units = w.Sizes[len(w.Sizes)/2]
-	}
+	units := w.TargetSize(*size)
 	targetMB := w.InputMB(units)
 	reg := of.registry()
 	t := newTuner(w, *ntrain, *seed, reg)
@@ -305,8 +344,7 @@ func cmdTune(args []string) error {
 	if err := selectSearcher(t, *searcherName, reg); err != nil {
 		return err
 	}
-	lo := w.InputMB(w.Sizes[0]) * 0.8
-	hi := w.InputMB(w.Sizes[len(w.Sizes)-1]) * 1.1
+	lo, hi := w.TrainingRangeMB()
 	if *online {
 		oo := core.OnlineOptions{
 			ScreenSamples: *screen,
@@ -322,19 +360,7 @@ func cmdTune(args []string) error {
 	if err != nil {
 		return err
 	}
-	best := res.Best[targetMB]
-
-	// Evaluate on a fresh simulator seed against the baselines.
-	evalSim := sparksim.New(cluster.Standard(), 99)
-	space := conf.StandardSpace()
-	tDAC := evalSim.Run(&w.Program, targetMB, best).TotalSec
-	tDef := evalSim.Run(&w.Program, targetMB, space.Default()).TotalSec
-	tExp := evalSim.Run(&w.Program, targetMB, expert.Config(space, cluster.Standard())).TotalSec
-
-	fmt.Printf("\ntuned configuration (spark-dac.conf):\n%s\n", best)
-	fmt.Printf("\npredicted: %.1fs   measured: %.1fs\n", res.PredictedSec[targetMB], tDAC)
-	fmt.Printf("default:   %.1fs   (speedup %.1fx)\n", tDef, tDef/tDAC)
-	fmt.Printf("expert:    %.1fs   (speedup %.1fx)\n", tExp, tExp/tDAC)
+	newHeldOut(w).report(targetMB, res.Best[targetMB], res.PredictedSec[targetMB])
 	fmt.Printf("\noverhead: collecting %.1f simulated cluster hours, modeling %.1fs, searching %.1fs\n",
 		res.Overhead.CollectClusterHours, res.Overhead.ModelTrainSec, res.Overhead.SearchSec)
 	return of.emit(reg)
@@ -379,18 +405,8 @@ func tuneOnlineCLI(w *workloads.Workload, t *core.Tuner, units, targetMB, lo, hi
 			i+1, it.Runs, warm, it.ValErr*100, it.PredictedSec, it.BestMeasuredSec, it.GuardRejected)
 	}
 
-	// Evaluate on a fresh simulator seed against the baselines, exactly
-	// as the offline path does.
-	evalSim := sparksim.New(cluster.Standard(), 99)
-	space := conf.StandardSpace()
-	tDAC := evalSim.Run(&w.Program, targetMB, res.Best).TotalSec
-	tDef := evalSim.Run(&w.Program, targetMB, space.Default()).TotalSec
-	tExp := evalSim.Run(&w.Program, targetMB, expert.Config(space, cluster.Standard())).TotalSec
-
-	fmt.Printf("\ntuned configuration (spark-dac.conf):\n%s\n", res.Best)
-	fmt.Printf("\npredicted: %.1fs   measured: %.1fs\n", res.PredictedSec, tDAC)
-	fmt.Printf("default:   %.1fs   (speedup %.1fx)\n", tDef, tDef/tDAC)
-	fmt.Printf("expert:    %.1fs   (speedup %.1fx)\n", tExp, tExp/tDAC)
+	// Evaluate exactly as the offline path does.
+	newHeldOut(w).report(targetMB, res.Best, res.PredictedSec)
 	fmt.Printf("\noverhead: %d measured runs (%.1f simulated cluster hours), %d candidates rejected by the memory guard\n",
 		res.TotalRuns, res.Overhead.CollectClusterHours, res.GuardRejections)
 	return of.emit(reg)
@@ -411,23 +427,8 @@ func cmdTrain(args []string) error {
 		return err
 	}
 	defer stop()
-	if *in == "" {
-		return fmt.Errorf("train: -in is required")
-	}
-	f, err := os.Open(*in)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	set, err := dataset.ReadCSV(f, conf.StandardSpace())
-	if err != nil {
-		return err
-	}
 	reg := of.registry()
-	hmOpt := experiments.PaperBudget().HM
-	hmOpt.Seed = *seed
-	hmOpt.Obs = reg
-	m, err := hm.Train(set.ToDataset(), hmOpt)
+	ds, m, err := fitCSV("train", *in, *seed, reg)
 	if err != nil {
 		return err
 	}
@@ -440,7 +441,7 @@ func cmdTrain(args []string) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "trained on %d vectors (order %d, validation error %.1f%%); saved to %s\n",
-		set.Len(), m.Order, m.ValErr*100, *out)
+		ds.Len(), m.Order, m.ValErr*100, *out)
 	return of.emit(reg)
 }
 
@@ -460,24 +461,8 @@ func cmdImportance(args []string) error {
 		return err
 	}
 	defer stop()
-	if *in == "" {
-		return fmt.Errorf("importance: -in is required")
-	}
-	f, err := os.Open(*in)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	set, err := dataset.ReadCSV(f, conf.StandardSpace())
-	if err != nil {
-		return err
-	}
-	ds := set.ToDataset()
 	reg := of.registry()
-	hmOpt := experiments.PaperBudget().HM
-	hmOpt.Seed = *seed
-	hmOpt.Obs = reg
-	m, err := hm.Train(ds, hmOpt)
+	ds, m, err := fitCSV("importance", *in, *seed, reg)
 	if err != nil {
 		return err
 	}
@@ -526,10 +511,6 @@ func cmdSearch(args []string) error {
 	if err != nil {
 		return err
 	}
-	units := *size
-	if units == 0 {
-		units = w.Sizes[len(w.Sizes)/2]
-	}
 	f, err := os.Open(*modelPath)
 	if err != nil {
 		return err
@@ -544,7 +525,7 @@ func cmdSearch(args []string) error {
 	if err := selectSearcher(t, *searcherName, reg); err != nil {
 		return err
 	}
-	cfg, pred, gaRes, _, err := t.Search(m, w.InputMB(units), nil)
+	cfg, pred, gaRes, _, err := t.Search(m, w.TargetMB(*size), nil)
 	if err != nil {
 		return err
 	}
@@ -590,7 +571,7 @@ func cmdCompare(args []string) error {
 	reg := of.registry()
 	t := newTuner(w, *ntrain, *seed, reg)
 	targets := w.SizesMB()
-	lo, hi := targets[0]*0.8, targets[len(targets)-1]*1.1
+	lo, hi := w.TrainingRangeMB()
 
 	fmt.Printf("tuning %s (DAC per size + RFHOC)...\n", w.Name)
 	res, err := t.Tune(lo, hi, targets)
@@ -603,17 +584,11 @@ func cmdCompare(args []string) error {
 		return err
 	}
 
-	evalSim := sparksim.New(cluster.Standard(), 99)
-	space := conf.StandardSpace()
-	expCfg := expert.Config(space, cluster.Standard())
-	defCfg := space.Default()
+	h := newHeldOut(w)
 	fmt.Printf("\n%-4s %12s %12s %12s %12s\n", "size", "default(s)", "expert(s)", "RFHOC(s)", "DAC(s)")
 	for i, mb := range targets {
 		fmt.Printf("D%-3d %12.1f %12.1f %12.1f %12.1f\n", i+1,
-			evalSim.Run(&w.Program, mb, defCfg).TotalSec,
-			evalSim.Run(&w.Program, mb, expCfg).TotalSec,
-			evalSim.Run(&w.Program, mb, rfhocCfg).TotalSec,
-			evalSim.Run(&w.Program, mb, res.Best[mb]).TotalSec)
+			h.run(mb, h.def), h.run(mb, h.exp), h.run(mb, rfhocCfg), h.run(mb, res.Best[mb]))
 	}
 	return of.emit(reg)
 }

@@ -136,22 +136,14 @@ func NewSimExecutor(sim *Simulator, p *Program) *SimExecutor {
 // NewTuner wires a DAC tuner for workload w simulated on cl. The seed
 // fixes both the simulator and the pipeline's randomness.
 func NewTuner(w *Workload, cl Cluster, opt Options) *Tuner {
-	sim := sparksim.New(cl, opt.Seed+7)
-	return &Tuner{
-		Space: conf.StandardSpace(),
-		Exec:  NewSimExecutor(sim, &w.Program),
-		Opt:   opt,
-	}
+	return core.NewSimTuner(w, cl, opt, nil)
 }
 
-// NewRFHOCTuner wires the RFHOC baseline for workload w simulated on cl.
+// NewRFHOCTuner wires the RFHOC baseline for workload w simulated on cl,
+// over the same simulator and executor NewTuner wires.
 func NewRFHOCTuner(w *Workload, cl Cluster, opt Options) *RFHOCTuner {
-	sim := sparksim.New(cl, opt.Seed+7)
-	return &RFHOCTuner{
-		Space: conf.StandardSpace(),
-		Exec:  NewSimExecutor(sim, &w.Program),
-		Opt:   opt,
-	}
+	t := core.NewSimTuner(w, cl, opt, nil)
+	return &RFHOCTuner{Space: t.Space, Exec: t.Exec, Opt: opt}
 }
 
 // HadoopSpace returns the ~10-parameter Hadoop configuration space used

@@ -43,7 +43,7 @@ func main() {
 
 	tuner := dac.NewTuner(w, cl, opt)
 	target := w.InputMB(30) // 30 GB
-	lo, hi := w.InputMB(w.Sizes[0])*0.8, w.InputMB(w.Sizes[len(w.Sizes)-1])*1.1
+	lo, hi := w.TrainingRangeMB()
 
 	fmt.Printf("Tuning %s for 30 GB on %d cores / %.0f GB...\n",
 		w.Name, cl.TotalCores(), cl.TotalMemoryMB()/1024)

@@ -80,14 +80,16 @@ type Options struct {
 	NTrain int
 	// HM configures the performance model.
 	HM hm.Options
-	// Backend, when non-nil, replaces the HM modeling stage: the tuner
-	// trains through Backend.Train instead of hm.Train, with BackendTrain
-	// as the knobs. Nil keeps the paper's HM path, including its exact
-	// seed derivation — default-path output is byte-identical with or
-	// without the backend layer present.
+	// Backend selects the modeling stage: the tuner trains through
+	// Backend.Train (and refits online through its Resumer, when it has
+	// one) with BackendTrain as the knobs. Nil, or any hm.Backend (the
+	// registry's "hm"), selects the paper's HM carrying the HM options
+	// above — the way a nil Searcher selects the GA. An hm.Backend's own
+	// Opt is replaced by HM: set the HM shape there, not on the backend.
 	Backend model.Backend
-	// BackendTrain holds the cross-backend training knobs when Backend is
-	// set. A zero Seed is filled with Seed+1, mirroring the HM path.
+	// BackendTrain holds the cross-backend training knobs. A zero Seed is
+	// filled with HM.Seed when the backend is hm and HM.Seed is set, else
+	// with Seed+1.
 	BackendTrain model.TrainOpts
 	// GA configures the searcher.
 	GA ga.Options
@@ -150,14 +152,6 @@ type Tuner struct {
 	Obs *obs.Registry
 }
 
-// obsHM returns the HM options with the tuner's registry attached.
-func (t *Tuner) obsHM(o hm.Options) hm.Options {
-	if o.Obs == nil {
-		o.Obs = t.Obs
-	}
-	return o
-}
-
 // obsGA returns the GA options with the tuner's registry attached.
 func (t *Tuner) obsGA(o ga.Options) ga.Options {
 	if o.Obs == nil {
@@ -218,42 +212,54 @@ func (t *Tuner) Model(set *dataset.Set) (model.Model, Overhead, error) {
 }
 
 func (t *Tuner) model(set *dataset.Set) (model.Model, Overhead, error) {
-	opt := t.Opt.withDefaults()
-	if opt.Backend != nil {
-		trainOpt := opt.BackendTrain
-		if trainOpt.Seed == 0 {
-			trainOpt.Seed = opt.Seed + 1
-		}
-		if trainOpt.Obs == nil {
-			trainOpt.Obs = t.Obs
-		}
-		start := time.Now()
-		m, err := opt.Backend.Train(set.ToDataset(), trainOpt)
-		if err != nil {
-			return nil, Overhead{}, fmt.Errorf("core: training %s: %w", opt.Backend.Name(), err)
-		}
-		return m, Overhead{ModelTrainSec: time.Since(start).Seconds()}, nil
-	}
-	hmOpt := t.obsHM(opt.HM)
-	if hmOpt.Seed == 0 {
-		hmOpt.Seed = opt.Seed + 1
-	}
-	if opt.RobustSearch {
+	b, to := t.modelBackend()
+	if hb, ok := b.(hm.Backend); ok && t.Opt.RobustSearch {
 		// Robust search needs sub-model dispersion, so force the
 		// hierarchical recursion to build several first-order models.
-		if hmOpt.MaxOrder < 3 {
-			hmOpt.MaxOrder = 3
+		if hb.Opt.MaxOrder < 3 {
+			hb.Opt.MaxOrder = 3
 		}
-		if hmOpt.TargetAccuracy == 0 {
-			hmOpt.TargetAccuracy = 0.999 // unreachable: always recurse to MaxOrder
+		if hb.Opt.TargetAccuracy == 0 {
+			hb.Opt.TargetAccuracy = 0.999 // unreachable: always recurse to MaxOrder
 		}
+		b = hb
 	}
 	start := time.Now()
-	m, err := hm.Train(set.ToDataset(), hmOpt)
+	m, err := b.Train(set.ToDataset(), to)
 	if err != nil {
-		return nil, Overhead{}, fmt.Errorf("core: training: %w", err)
+		return nil, Overhead{}, fmt.Errorf("core: training %s: %w", b.Name(), err)
 	}
 	return m, Overhead{ModelTrainSec: time.Since(start).Seconds()}, nil
+}
+
+// modelBackend is the modeling stage's one resolution. Nil, or any
+// hm.Backend, becomes the paper's HM carrying the tuner's HM options with
+// its registry attached — the way runSearcher resolves the GA — so the
+// default path and the registry's "hm" train bit-identically. The
+// training knobs are BackendTrain with the tuner's registry attached and
+// a zero Seed filled with HM.Seed (hm only), else Seed+1.
+func (t *Tuner) modelBackend() (model.Backend, model.TrainOpts) {
+	opt := t.Opt.withDefaults()
+	to := opt.BackendTrain
+	if to.Obs == nil {
+		to.Obs = t.Obs
+	}
+	b := opt.Backend
+	switch b.(type) {
+	case nil, hm.Backend:
+		hmOpt := opt.HM
+		if hmOpt.Obs == nil {
+			hmOpt.Obs = t.Obs
+		}
+		if to.Seed == 0 {
+			to.Seed = hmOpt.Seed
+		}
+		b = hm.Backend{Opt: hmOpt}
+	}
+	if to.Seed == 0 {
+		to.Seed = opt.Seed + 1
+	}
+	return b, to
 }
 
 // Search runs the GA over the trained model for one target dataset size

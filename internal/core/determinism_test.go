@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"repro/internal/backends"
 	"repro/internal/cluster"
 	"repro/internal/conf"
 	"repro/internal/ga"
@@ -125,29 +127,44 @@ func TestSearchBatchWiringMatchesSerialGA(t *testing.T) {
 	}
 }
 
-// TestRegistryGAMatchesDefault pins the searcher resolution rule: the
-// registry's "ga" carries the tuner's GA options, so a tune selecting it
-// equals the default (nil-searcher) tune exactly — not a GA at the
-// registry's zero-value 100-individual shape.
+// TestRegistryGAMatchesDefault pins the stage resolution rules: the
+// registry's "ga" carries the tuner's GA options, and the registry's "hm"
+// — like any hm.Backend, whatever its own shape — carries the tuner's HM
+// options, so selecting either equals the default (nil searcher, nil
+// backend) exactly — not a GA at the registry's zero-value 100-individual
+// shape, nor an HM at the backend's. The backend cases also run a quick
+// TuneOnline, which covers the resolved warm-started refit.
 func TestRegistryGAMatchesDefault(t *testing.T) {
 	w, err := workloads.ByAbbr("TS")
 	if err != nil {
 		t.Fatal(err)
 	}
-	tune := func(s search.Searcher) *TuneResult {
+	newTuner := func(s search.Searcher, b model.Backend) *Tuner {
 		sim := sparksim.New(cluster.Standard(), 8)
-		tuner := &Tuner{
+		return &Tuner{
 			Space: conf.StandardSpace(),
 			Exec:  NewSimExecutor(sim, &w.Program),
 			Opt: Options{
 				NTrain:   120,
 				HM:       hm.Options{Trees: 60, LearningRate: 0.1, TreeComplexity: 5},
 				GA:       ga.Options{PopSize: 30, Generations: 6},
+				Backend:  b,
 				Searcher: s,
 				Seed:     1,
 			},
 		}
-		res, err := tuner.Tune(w.InputMB(10), w.InputMB(50), []float64{w.InputMB(30)})
+	}
+	target := w.InputMB(30)
+	tune := func(s search.Searcher, b model.Backend) *TuneResult {
+		res, err := newTuner(s, b).Tune(w.InputMB(10), w.InputMB(50), []float64{target})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	oo := OnlineOptions{ScreenSamples: 60, TopK: 8, Iterations: 2, IterBatch: 8, ExtraTrees: 30}
+	tuneOnline := func(b model.Backend) *OnlineResult {
+		res, err := newTuner(nil, b).TuneOnline(context.Background(), w.InputMB(10), w.InputMB(50), target, oo, RowHooks{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,16 +174,43 @@ func TestRegistryGAMatchesDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := w.InputMB(30)
-	ref, got := tune(nil), tune(gaSearcher)
-	if !reflect.DeepEqual(got.Best[target].Vector(), ref.Best[target].Vector()) {
-		t.Error("registry ga tuned a different configuration than the default path")
+	hmBackend, err := backends.Default().Lookup("hm")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got.PredictedSec[target] != ref.PredictedSec[target] {
-		t.Errorf("predictions differ: %v vs %v", got.PredictedSec[target], ref.PredictedSec[target])
-	}
-	if !reflect.DeepEqual(got.GA[target], ref.GA[target]) {
-		t.Errorf("GA results differ: %d vs %d evaluations over %d vs %d generations",
-			got.GA[target].Evaluations, ref.GA[target].Evaluations, len(got.GA[target].History), len(ref.GA[target].History))
+	ref := tune(nil, nil)
+	refOnline := tuneOnline(nil)
+	for _, tc := range []struct {
+		name     string
+		searcher search.Searcher
+		backend  model.Backend
+	}{
+		{"registry ga", gaSearcher, nil},
+		{"registry hm", nil, hmBackend},
+		{"hm of another shape", nil, hm.Backend{Opt: hm.Options{Trees: 7, LearningRate: 0.3, TreeComplexity: 2, Seed: 99}}},
+	} {
+		got := tune(tc.searcher, tc.backend)
+		if !reflect.DeepEqual(got.Best[target].Vector(), ref.Best[target].Vector()) {
+			t.Errorf("%s: tuned a different configuration than the default path", tc.name)
+		}
+		if got.PredictedSec[target] != ref.PredictedSec[target] {
+			t.Errorf("%s: predictions differ: %v vs %v", tc.name, got.PredictedSec[target], ref.PredictedSec[target])
+		}
+		if !reflect.DeepEqual(got.GA[target], ref.GA[target]) {
+			t.Errorf("%s: GA results differ: %d vs %d evaluations over %d vs %d generations", tc.name,
+				got.GA[target].Evaluations, ref.GA[target].Evaluations, len(got.GA[target].History), len(ref.GA[target].History))
+		}
+		if tc.backend == nil {
+			continue
+		}
+		on := tuneOnline(tc.backend)
+		if !reflect.DeepEqual(on.Best.Vector(), refOnline.Best.Vector()) || on.MeasuredSec != refOnline.MeasuredSec ||
+			on.PredictedSec != refOnline.PredictedSec {
+			t.Errorf("%s: online best %v (measured %v, predicted %v) differs from the default path's (%v, %v)", tc.name,
+				on.Best.Vector(), on.MeasuredSec, on.PredictedSec, refOnline.MeasuredSec, refOnline.PredictedSec)
+		}
+		if !reflect.DeepEqual(on.Screened, refOnline.Screened) || !reflect.DeepEqual(on.Iterations, refOnline.Iterations) {
+			t.Errorf("%s: online screening or iterations differ from the default path", tc.name)
+		}
 	}
 }

@@ -3,9 +3,29 @@ package core
 import (
 	"sync"
 
+	"repro/internal/cluster"
 	"repro/internal/conf"
+	"repro/internal/obs"
 	"repro/internal/sparksim"
+	"repro/internal/workloads"
 )
+
+// NewSimTuner is the one recipe for a tuner over the simulated cluster,
+// shared by the facade, the dac CLI, the dacd daemon and the fleet
+// workers so their outputs match bit for bit: cl simulated at seed
+// opt.Seed+7 and instrumented into reg, the Table 2 space, and w's
+// program behind a batching SimExecutor. reg also becomes the tuner's
+// registry; nil keeps every instrumented path on its zero-cost branch.
+func NewSimTuner(w *workloads.Workload, cl cluster.Cluster, opt Options, reg *obs.Registry) *Tuner {
+	sim := sparksim.New(cl, opt.Seed+7)
+	sim.Instrument(reg)
+	return &Tuner{
+		Space: conf.StandardSpace(),
+		Exec:  NewSimExecutor(sim, &w.Program),
+		Opt:   opt,
+		Obs:   reg,
+	}
+}
 
 // SimExecutor runs program-input pairs on the cluster simulator — the
 // Executor the facade and the commands wire into the pipeline. It

@@ -401,42 +401,22 @@ func (t *Tuner) screenParams(m model.Model, k int) ([]string, []float64, error) 
 }
 
 // refitOnline refits the model on every accumulated observation:
-// warm-started through hm.Resume (or the backend's Resumer) when the
-// model supports it, from scratch otherwise. seed isolates each refit's
+// warm-started through the backend's Resumer (hm's boosting resume) when
+// it has one, from scratch otherwise. seed isolates each refit's
 // randomness; deterministic in (model state, set, seed).
 func (t *Tuner) refitOnline(m model.Model, set *dataset.Set, seed int64, extra int) (model.Model, bool, float64, error) {
-	opt := t.Opt.withDefaults()
+	b, to := t.modelBackend()
+	to.Seed = seed
 	ds := set.ToDataset()
 	start := time.Now()
-	if opt.Backend != nil {
-		to := opt.BackendTrain
-		to.Seed = seed
-		if to.Obs == nil {
-			to.Obs = t.Obs
-		}
-		if r, ok := opt.Backend.(model.Resumer); ok {
-			if err := r.Resume(m, ds, to, extra); err != nil {
-				return nil, false, 0, fmt.Errorf("core: online refit: %w", err)
-			}
-			t.Obs.Counter("core.online.warmstarts").Inc()
-			return m, true, time.Since(start).Seconds(), nil
-		}
-		nm, err := opt.Backend.Train(ds, to)
-		if err != nil {
-			return nil, false, 0, fmt.Errorf("core: online refit: %w", err)
-		}
-		return nm, false, time.Since(start).Seconds(), nil
-	}
-	hmOpt := t.obsHM(opt.HM)
-	hmOpt.Seed = seed
-	if hmModel, ok := m.(*hm.Model); ok {
-		if err := hm.Resume(hmModel, ds, hmOpt, extra); err != nil {
+	if r, ok := b.(model.Resumer); ok {
+		if err := r.Resume(m, ds, to, extra); err != nil {
 			return nil, false, 0, fmt.Errorf("core: online refit: %w", err)
 		}
 		t.Obs.Counter("core.online.warmstarts").Inc()
-		return hmModel, true, time.Since(start).Seconds(), nil
+		return m, true, time.Since(start).Seconds(), nil
 	}
-	nm, err := hm.Train(ds, hmOpt)
+	nm, err := b.Train(ds, to)
 	if err != nil {
 		return nil, false, 0, fmt.Errorf("core: online refit: %w", err)
 	}

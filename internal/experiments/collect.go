@@ -51,11 +51,11 @@ func collect(sc Scale, w *workloads.Workload, n int, simSeed, seed int64) *datas
 }
 
 // trainingSizes returns the m=10 training dataset sizes (MB) for w,
-// geometrically spaced over [0.8·min, 1.1·max] so consecutive sizes
-// differ by ≥10% (Eq. 4).
+// geometrically spaced over its training range so consecutive sizes
+// differ by ≥10% (Eq. 4). The cumulative product is not bit-identical to
+// core.Tuner.TrainingSizesMB's Pow, so the experiments keep their own.
 func trainingSizes(w *workloads.Workload) []float64 {
-	lo := w.InputMB(w.Sizes[0]) * 0.8
-	hi := w.InputMB(w.Sizes[len(w.Sizes)-1]) * 1.1
+	lo, hi := w.TrainingRangeMB()
 	const m = 10
 	ratio := math.Pow(hi/lo, 1.0/(m-1))
 	sizes := make([]float64, m)

@@ -9,11 +9,9 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/conf"
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/journal"
-	"repro/internal/sparksim"
 	"repro/internal/workloads"
 )
 
@@ -40,14 +38,8 @@ func FleetScale(sc Scale, workerCounts []int) ([]FleetOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	sim := sparksim.New(sc.Cluster, sc.Seed+7)
-	t := &core.Tuner{
-		Space: conf.StandardSpace(),
-		Exec:  core.NewSimExecutor(sim, &w.Program),
-		Opt:   core.Options{NTrain: sc.NTrain, Seed: sc.Seed},
-	}
-	lo, hi := w.InputMB(w.Sizes[0])*0.8, w.InputMB(w.Sizes[len(w.Sizes)-1])*1.1
-	sizes := t.TrainingSizesMB(lo, hi)
+	t := core.NewSimTuner(w, sc.Cluster, core.Options{NTrain: sc.NTrain, Seed: sc.Seed}, nil)
+	sizes := t.TrainingSizesMB(w.TrainingRangeMB())
 	spec := fleet.SweepSpec{
 		Workload: w.Abbr,
 		Seed:     sc.Seed,

@@ -73,9 +73,8 @@ func OnlineVsDAC(sc Scale, abbrs []string) []OnlineOutcome {
 			panic(fmt.Sprintf("experiments: online comparison: %v", err))
 		}
 		seed := sc.Seed + int64(wi)*100
-		targets := w.SizesMB()
-		target := targets[len(targets)/2]
-		lo, hi := targets[0]*0.8, targets[len(targets)-1]*1.1
+		target := w.TargetMB(0)
+		lo, hi := w.TrainingRangeMB()
 
 		newTuner := func() *core.Tuner {
 			trainSim := sparksim.New(sc.Cluster, 42)

@@ -52,9 +52,8 @@ func Searchers(sc Scale, abbrs []string) []SearcherOutcome {
 			panic(fmt.Sprintf("experiments: searcher comparison: %v", err))
 		}
 		seed := sc.Seed + int64(wi)*100
-		targets := w.SizesMB()
-		target := targets[len(targets)/2]
-		lo, hi := targets[0]*0.8, targets[len(targets)-1]*1.1
+		target := w.TargetMB(0)
+		lo, hi := w.TrainingRangeMB()
 
 		trainSim := sparksim.New(sc.Cluster, 42)
 		trainSim.Instrument(sc.Obs)

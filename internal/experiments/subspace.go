@@ -31,9 +31,8 @@ func Subspace(sc Scale, abbr string, k int) []SubspaceRow {
 	full := conf.StandardSpace()
 	trainSim := sparksim.New(sc.Cluster, 42)
 	evalSim := sparksim.New(sc.Cluster, 77)
-	targetMB := w.SizesMB()[2]
-	lo := w.SizesMB()[0] * 0.8
-	hi := w.SizesMB()[4] * 1.1
+	targetMB := w.TargetMB(0)
+	lo, hi := w.TrainingRangeMB()
 
 	// Rank parameters by importance (dsize excluded: it is a feature,
 	// not a knob).

@@ -58,8 +58,7 @@ func TuneAll(sc Scale) []TuneOutcome {
 
 		tuner := &core.Tuner{Space: space, Exec: exec, Opt: opt, Obs: sc.Obs}
 		targets := w.SizesMB()
-		lo := targets[0] * 0.8
-		hi := targets[len(targets)-1] * 1.1
+		lo, hi := w.TrainingRangeMB()
 		res, err := tuner.Tune(lo, hi, targets)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: DAC tuning %s: %v", w.Name, err))
@@ -74,7 +73,7 @@ func TuneAll(sc Scale) []TuneOutcome {
 		o := TuneOutcome{
 			Workload:    w,
 			RFHOCConfig: rfhocCfg,
-			GA:          res.GA[targets[len(targets)/2]],
+			GA:          res.GA[w.TargetMB(0)],
 			Overhead:    res.Overhead,
 		}
 		defCfg := space.Default()

@@ -85,13 +85,13 @@ type chunkState struct {
 const localWorker = "(local)"
 
 type sweepState struct {
-	id        int64
-	spec      SweepSpec
-	hooks     SweepHooks
-	chunks    []*chunkState
-	pending   []int // chunk IDs awaiting a lease, FIFO
-	remaining int   // chunks whose rows have not finished merging (OnRows included)
-	knownRows int
+	id         int64
+	spec       SweepSpec
+	hooks      SweepHooks
+	chunks     []*chunkState
+	pending    []int // chunk IDs awaiting a lease, FIFO
+	remaining  int   // chunks whose rows have not finished merging (OnRows included)
+	knownRows  int
 	mergedRows int
 	totalRows  int
 	closed     bool // no further hook may start (completed, failed, or abandoned)
@@ -122,9 +122,9 @@ type Coordinator struct {
 	sweepOrder []int64
 	nextAnon   int64
 
-	registered, lost                     *obs.Counter
-	granted, expired, requeued           *obs.Counter
-	merged, rejected, localChunks        *obs.Counter
+	registered, lost              *obs.Counter
+	granted, expired, requeued    *obs.Counter
+	merged, rejected, localChunks *obs.Counter
 }
 
 // NewCoordinator returns a coordinator with no workers and no sweeps.

@@ -35,8 +35,8 @@ import (
 type SweepSpec struct {
 	// Workload is the abbreviation (TS, WC, ...) naming the program.
 	Workload string `json:"workload"`
-	// Seed is the tuner seed; the simulator seed derives as Seed+7, the
-	// same slot the CLI and daemon use.
+	// Seed is the tuner seed; core.NewSimTuner derives the simulator seed
+	// from it, as it does for the CLI and the daemon.
 	Seed int64 `json:"seed"`
 	// NTrain is the sweep's total row count.
 	NTrain int `json:"ntrain"`

@@ -13,9 +13,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/conf"
 	"repro/internal/core"
-	"repro/internal/sparksim"
 	"repro/internal/workloads"
 )
 
@@ -348,23 +346,18 @@ func sleep(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// SimRunner builds the production executor for a sweep spec: the same
-// simulator wiring as the daemon's local path (sparksim on the standard
-// cluster at seed+7, the workload's program, core.CollectJobs for the
-// row list), so a worker's times are bit-identical to local execution.
-// Each chunk runs through core.Tuner.ExecuteRows across parallelism
-// goroutines (minimum 1).
+// SimRunner builds the production executor for a sweep spec: the
+// daemon's local path's tuner (core.NewSimTuner on the standard cluster,
+// core.CollectJobs for the row list), so a worker's times are
+// bit-identical to local execution. Each chunk runs through
+// core.Tuner.ExecuteRows across parallelism goroutines (minimum 1).
 func SimRunner(spec SweepSpec, parallelism int) (RunnerFunc, error) {
 	wl, err := workloads.ByAbbr(spec.Workload)
 	if err != nil {
 		return nil, err
 	}
-	sim := sparksim.New(cluster.Standard(), spec.Seed+7)
-	t := &core.Tuner{
-		Space: conf.StandardSpace(),
-		Exec:  core.NewSimExecutor(sim, &wl.Program),
-		Opt:   core.Options{NTrain: spec.NTrain, Seed: spec.Seed, Parallelism: max(parallelism, 1)},
-	}
+	t := core.NewSimTuner(wl, cluster.Standard(),
+		core.Options{NTrain: spec.NTrain, Seed: spec.Seed, Parallelism: max(parallelism, 1)}, nil)
 	jobs := t.CollectJobs(spec.SizesMB)
 	return func(ctx context.Context, indices []int) ([]ResultRow, error) {
 		rows, err := t.ExecuteRows(ctx, jobs, indices)

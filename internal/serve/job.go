@@ -25,7 +25,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/search"
-	"repro/internal/sparksim"
 	"repro/internal/workloads"
 )
 
@@ -705,58 +704,31 @@ func (spec JobSpec) modelName(w *workloads.Workload) string {
 	return strings.ToLower(w.Abbr)
 }
 
-// tunerFor mirrors the CLI's wiring exactly — same simulator seed
-// derivation, space, executor, and options — so a job's output matches
+// tunerFor builds the job's tuner with the CLI's recipe —
+// core.NewSimTuner, the shared budgets, and the registry's backend and
+// searcher for every name, defaults included — so a job's output matches
 // the equivalent `dac` invocation bit for bit.
 func (m *Manager) tunerFor(w *workloads.Workload, spec JobSpec) *core.Tuner {
 	ntrain, hmOpt, gaOpt := spec.budgets()
-	seed := spec.seed()
-	sim := sparksim.New(cluster.Standard(), seed+7)
-	sim.Instrument(m.obs)
 	opt := core.Options{
 		NTrain:      ntrain,
 		HM:          hmOpt,
 		GA:          gaOpt,
 		Parallelism: spec.Parallelism,
-		Seed:        seed,
+		Seed:        spec.seed(),
 	}
-	if name := spec.backend(); name != "hm" {
-		// Route the modeling stage through the selected backend; the hm
-		// default keeps the tuner's built-in path (bit-identical to the
-		// CLI). Seed stays zero so the tuner derives it as Seed+1, the
-		// same slot the hm path uses.
-		b, err := m.models.Backends().Lookup(name)
-		if err == nil { // unknown names were rejected at Submit
-			opt.Backend = b
-			opt.BackendTrain = model.TrainOpts{Quick: spec.Quick, Trees: spec.HMTrees}
-		}
+	// Unknown names were rejected at Submit. The registry's hm carries
+	// the HM budget above and its ga the GA budget, and every backend and
+	// searcher shares the default's seed slots (Seed+1, Seed+2) and
+	// training-set population seeds.
+	if b, err := m.models.Backends().Lookup(spec.backend()); err == nil {
+		opt.Backend = b
+		opt.BackendTrain = model.TrainOpts{Quick: spec.Quick, Trees: spec.HMTrees}
 	}
-	// Every searcher, the default ga included, shares the seed slot
-	// (Seed+2), the training-set population seeds, and the GA budget
-	// above; the registry's ga carries these GA options, so the default
-	// path is bit-identical to the CLI's.
-	if sr, err := search.Default().Lookup(spec.searcher()); err == nil { // unknown names were rejected at Submit
+	if sr, err := search.Default().Lookup(spec.searcher()); err == nil {
 		opt.Searcher = sr
 	}
-	return &core.Tuner{
-		Space: conf.StandardSpace(),
-		Exec:  core.NewSimExecutor(sim, &w.Program),
-		Opt:   opt,
-		Obs:   m.obs,
-	}
-}
-
-// trainingRange is the CLI's collect range: slightly beyond Table 1.
-func trainingRange(w *workloads.Workload) (lo, hi float64) {
-	return w.InputMB(w.Sizes[0]) * 0.8, w.InputMB(w.Sizes[len(w.Sizes)-1]) * 1.1
-}
-
-func (spec JobSpec) targetMB(w *workloads.Workload) float64 {
-	units := spec.Size
-	if units == 0 {
-		units = w.Sizes[len(w.Sizes)/2]
-	}
-	return w.InputMB(units)
+	return core.NewSimTuner(w, cluster.Standard(), opt, m.obs)
 }
 
 // execute dispatches one job to its pipeline slice. Every slice but
@@ -822,8 +794,7 @@ func (m *Manager) jobJournal(id int64, meta, kind string) (*Journal, core.RowHoo
 // collectDurable runs the journal-backed collect sweep for a job and
 // returns the finished set.
 func (m *Manager) collectDurable(ctx context.Context, id int64, t *core.Tuner, w *workloads.Workload) (*dataset.Set, core.Overhead, error) {
-	lo, hi := trainingRange(w)
-	sizes := t.TrainingSizesMB(lo, hi)
+	sizes := t.TrainingSizesMB(w.TrainingRangeMB())
 	jl, hooks, err := m.jobJournal(id, MetaHash(w.Abbr, t.Opt.Seed, t.Opt.NTrain, sizes), "collect")
 	if err != nil {
 		return nil, core.Overhead{}, err
@@ -838,33 +809,30 @@ func (m *Manager) collectDurable(ctx context.Context, id int64, t *core.Tuner, w
 	return t.CollectResumable(ctx, sizes, hooks)
 }
 
-// registerModel saves a tuned model under the spec's registry name and
-// records the entry in out, so later search jobs (and warm starts) reuse
-// it without paying the collect again. A backend without the Saver
-// capability skips registration; the tuned configuration is still the
-// job's result.
-func (m *Manager) registerModel(id int64, spec JobSpec, w *workloads.Workload, mdl model.Model, ntrain int, out map[string]any) error {
+// registerModel saves a job's model under the spec's registry name with
+// its provenance, so later search jobs (and warm starts) reuse it without
+// paying the collect again, and returns the entry. A backend without the
+// Saver capability skips registration and returns version 0.
+func (m *Manager) registerModel(id int64, spec JobSpec, w *workloads.Workload, mdl model.Model, ntrain int, warmFrom string) (name string, version int, err error) {
 	b, _ := m.models.Backends().Lookup(spec.backend()) // unknown names were rejected at Submit
 	if _, ok := b.(model.Saver); !ok {
-		return nil
+		return "", 0, nil
 	}
-	name := spec.modelName(w)
-	version, err := m.models.Save(name, mdl, ModelMeta{
+	name = spec.modelName(w)
+	version, err = m.models.Save(name, mdl, ModelMeta{
 		Backend:     spec.backend(),
 		Workload:    w.Abbr,
 		Seed:        spec.seed(),
 		NTrain:      ntrain,
 		Job:         id,
+		WarmFrom:    warmFrom,
 		CreatedUnix: time.Now().Unix(),
 	})
 	if err != nil {
-		return err
+		return "", 0, err
 	}
 	m.obs.Counter("serve.models.saved").Inc()
-	out["model"] = name
-	out["model_version"] = version
-	out["backend"] = spec.backend()
-	return nil
+	return name, version, nil
 }
 
 func (m *Manager) collectCSVPath(id int64) string {
@@ -895,6 +863,10 @@ func (m *Manager) runTrain(ctx context.Context, id int64, spec JobSpec) (any, er
 	if src.State != StateDone || src.Spec.Type != JobCollect {
 		return nil, fmt.Errorf("serve: from_job %d is not a finished collect job", spec.FromJob)
 	}
+	w, err := workloads.ByAbbr(strings.ToUpper(src.Spec.Workload))
+	if err != nil {
+		return nil, err
+	}
 	f, err := os.Open(m.collectCSVPath(spec.FromJob))
 	if err != nil {
 		return nil, err
@@ -915,20 +887,8 @@ func (m *Manager) runTrain(ctx context.Context, id int64, spec JobSpec) (any, er
 		return nil, err
 	}
 	trainOpt := m.trainOpts(spec)
-	name := spec.Model
-	if name == "" {
-		name = strings.ToLower(src.Spec.Workload)
-	}
-	meta := ModelMeta{
-		Backend:     backendName,
-		Workload:    strings.ToUpper(src.Spec.Workload),
-		Seed:        trainOpt.Seed,
-		NTrain:      set.Len(),
-		Job:         id,
-		CreatedUnix: time.Now().Unix(),
-	}
-
 	var mdl model.Model
+	warmFrom := ""
 	if spec.WarmFrom != "" {
 		// Warm start: continue a registered model's training trajectory
 		// (for hm, its boosting and, if it still misses the accuracy
@@ -954,7 +914,7 @@ func (m *Manager) runTrain(ctx context.Context, id int64, spec JobSpec) (any, er
 			return nil, err
 		}
 		mdl = base
-		meta.WarmFrom = fmt.Sprintf("%s@v%d", baseMeta.Name, baseMeta.Version)
+		warmFrom = fmt.Sprintf("%s@v%d", baseMeta.Name, baseMeta.Version)
 		m.obs.Counter("serve.models.warmstarts").Inc()
 	} else {
 		mdl, err = b.Train(set.ToDataset(), trainOpt)
@@ -962,11 +922,13 @@ func (m *Manager) runTrain(ctx context.Context, id int64, spec JobSpec) (any, er
 			return nil, err
 		}
 	}
-	version, err := m.models.Save(name, mdl, meta)
+	name, version, err := m.registerModel(id, spec, w, mdl, set.Len(), warmFrom)
 	if err != nil {
 		return nil, err
 	}
-	m.obs.Counter("serve.models.saved").Inc()
+	if version == 0 {
+		return nil, fmt.Errorf("serve: backend %q cannot save models", backendName)
+	}
 	out := map[string]any{
 		"model":   name,
 		"version": version,
@@ -990,7 +952,7 @@ func (m *Manager) runSearch(ctx context.Context, id int64, spec JobSpec, t *core
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	targetMB := spec.targetMB(w)
+	targetMB := w.TargetMB(spec.Size)
 	m.setProgress(id, Progress{Phase: "search"})
 	// Identical (model version, dsize) searches share genome fitness
 	// values: repeated idempotent search traffic replays instead of
@@ -1021,7 +983,7 @@ func (m *Manager) runTune(ctx context.Context, id int64, spec JobSpec, t *core.T
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	targetMB := spec.targetMB(w)
+	targetMB := w.TargetMB(spec.Size)
 	res, err := t.TuneCollected(set, ovC, []float64{targetMB}, func(phase string, done, total int) {
 		m.setProgress(id, Progress{Phase: phase, Done: done, Total: total})
 	})
@@ -1037,8 +999,12 @@ func (m *Manager) runTune(ctx context.Context, id int64, spec JobSpec, t *core.T
 		"predicted_sec": res.PredictedSec[targetMB],
 		"cluster_hours": res.Overhead.CollectClusterHours,
 	}
-	if err := m.registerModel(id, spec, w, res.Model, set.Len(), out); err != nil {
+	name, version, err := m.registerModel(id, spec, w, res.Model, set.Len(), "")
+	if err != nil {
 		return nil, err
+	}
+	if version > 0 {
+		out["model"], out["model_version"], out["backend"] = name, version, spec.backend()
 	}
 	return out, nil
 }
@@ -1076,8 +1042,8 @@ func (spec JobSpec) onlineOptions() core.OnlineOptions {
 func (m *Manager) runTuneOnline(ctx context.Context, id int64, spec JobSpec, t *core.Tuner, w *workloads.Workload) (any, error) {
 	oo := spec.onlineOptions()
 	oo.Guard = core.SimOOMGuard(cluster.Standard(), &w.Program, 0)
-	targetMB := spec.targetMB(w)
-	lo, hi := trainingRange(w)
+	targetMB := w.TargetMB(spec.Size)
+	lo, hi := w.TrainingRangeMB()
 	sizes := t.TrainingSizesMB(lo, hi)
 
 	// The journal header binds the file to the whole online trajectory:
@@ -1123,8 +1089,12 @@ func (m *Manager) runTuneOnline(ctx context.Context, id int64, spec JobSpec, t *
 	}
 	// Register the final refit model like tune does, so search jobs and
 	// warm starts can pick up where the online loop left off.
-	if err := m.registerModel(id, spec, w, res.Model, res.Set.Len(), out); err != nil {
+	name, version, err := m.registerModel(id, spec, w, res.Model, res.Set.Len(), "")
+	if err != nil {
 		return nil, err
+	}
+	if version > 0 {
+		out["model"], out["model_version"], out["backend"] = name, version, spec.backend()
 	}
 	return out, nil
 }

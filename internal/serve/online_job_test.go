@@ -140,11 +140,10 @@ func onlineJournalMeta(t *testing.T, m *Manager, spec JobSpec, id int64) string 
 	w := mustWorkload(t, spec.Workload)
 	tuner := m.tunerFor(w, spec)
 	oo := spec.onlineOptions()
-	lo, hi := trainingRange(w)
-	sizes := tuner.TrainingSizesMB(lo, hi)
+	sizes := tuner.TrainingSizesMB(w.TrainingRangeMB())
 	onlineID := fmt.Sprintf("online:%s:%d:%d:%d:%d:%s", w.Abbr,
 		oo.ScreenSamples, oo.TopK, oo.Iterations, oo.IterBatch,
-		strconv.FormatFloat(spec.targetMB(w), 'g', -1, 64))
+		strconv.FormatFloat(w.TargetMB(spec.Size), 'g', -1, 64))
 	return MetaHash(onlineID, tuner.Opt.Seed, oo.ScreenSamples+oo.Iterations*oo.IterBatch+1, sizes)
 }
 

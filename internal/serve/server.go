@@ -355,11 +355,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		units := req.SizeUnits
-		if units == 0 {
-			units = wl.Sizes[len(wl.Sizes)/2]
-		}
-		dsize = wl.InputMB(units)
+		dsize = wl.TargetMB(req.SizeUnits)
 	}
 	if dsize <= 0 {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("need dsize_mb or workload+size"))

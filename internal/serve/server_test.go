@@ -122,6 +122,13 @@ func cliTuner(t *testing.T) (*core.Tuner, *workloads.Workload) {
 	}, w
 }
 
+// trainingRange is the CLI's collect range written out, [0.8·D1, 1.1·D5]
+// in MB, so the equality tests check the recipe rather than the daemon's
+// own call of workloads.TrainingRangeMB.
+func trainingRange(w *workloads.Workload) (lo, hi float64) {
+	return w.InputMB(w.Sizes[0]) * 0.8, w.InputMB(w.Sizes[len(w.Sizes)-1]) * 1.1
+}
+
 type tuneResult struct {
 	Workload     string             `json:"workload"`
 	TargetMB     float64            `json:"target_mb"`

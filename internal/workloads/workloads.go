@@ -48,6 +48,25 @@ func (w *Workload) SizesMB() []float64 {
 	return out
 }
 
+// TrainingRangeMB is the range DAC collects over, slightly beyond Table 1
+// on both ends: [0.8·D1, 1.1·D5] in MB, so every tuned size lies inside
+// the model's training data.
+func (w *Workload) TrainingRangeMB() (lo, hi float64) {
+	return w.InputMB(w.Sizes[0]) * 0.8, w.InputMB(w.Sizes[len(w.Sizes)-1]) * 1.1
+}
+
+// TargetSize resolves a requested target size in the workload's units:
+// 0 selects the middle Table 1 size.
+func (w *Workload) TargetSize(units float64) float64 {
+	if units == 0 {
+		return w.Sizes[len(w.Sizes)/2]
+	}
+	return units
+}
+
+// TargetMB is TargetSize converted to MB.
+func (w *Workload) TargetMB(units float64) float64 { return w.InputMB(w.TargetSize(units)) }
+
 // PageRank returns the HiBench PageRank workload: an iterative
 // graph-parallel job with selective shuffling and high iteration
 // selectivity. Table 1 sizes: 1.2–2.0 million pages.

@@ -55,6 +55,42 @@ func TestTable1Sizes(t *testing.T) {
 	}
 }
 
+// TestTrainingRangeAndTarget pins the collect range every pipeline entry
+// point shares — [0.8·D1, 1.1·D5] in MB — and the default target, the
+// middle Table 1 size, for all six workloads.
+func TestTrainingRangeAndTarget(t *testing.T) {
+	for _, tc := range []struct {
+		abbr   string
+		d1, d5 float64 // Table 1 sizes, in the workload's units
+		mid    float64
+	}{
+		{"PR", 1.2, 2.0, 1.6},
+		{"KM", 160, 288, 224},
+		{"BA", 1.2, 2.0, 1.6},
+		{"NW", 10.5, 14.5, 12.5},
+		{"WC", 80, 160, 120},
+		{"TS", 10, 50, 30},
+	} {
+		w, err := ByAbbr(tc.abbr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, hi := w.TrainingRangeMB()
+		if wantLo, wantHi := w.InputMB(tc.d1)*0.8, w.InputMB(tc.d5)*1.1; lo != wantLo || hi != wantHi {
+			t.Errorf("%s: TrainingRangeMB = (%v, %v), want (%v, %v)", tc.abbr, lo, hi, wantLo, wantHi)
+		}
+		if got := w.TargetSize(0); got != tc.mid {
+			t.Errorf("%s: TargetSize(0) = %v, want the middle size %v", tc.abbr, got, tc.mid)
+		}
+		if got, want := w.TargetMB(0), w.InputMB(tc.mid); got != want {
+			t.Errorf("%s: TargetMB(0) = %v, want %v", tc.abbr, got, want)
+		}
+		if got, want := w.TargetMB(tc.d5), w.InputMB(tc.d5); got != want {
+			t.Errorf("%s: TargetMB(%v) = %v, want %v", tc.abbr, tc.d5, got, want)
+		}
+	}
+}
+
 func TestByAbbrUnknown(t *testing.T) {
 	if _, err := ByAbbr("XX"); err == nil {
 		t.Fatal("want error for unknown abbreviation")
