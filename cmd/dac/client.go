@@ -8,9 +8,7 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/serve"
@@ -289,8 +287,6 @@ func clientPredict(args []string) error {
 	workload := fs.String("workload", "", "workload abbreviation (for datasize units)")
 	size := fs.Float64("size", 0, "datasize in workload units")
 	dsizeMB := fs.Float64("dsize-mb", 0, "datasize in MB (alternative to -workload/-size)")
-	loop := fs.Int("loop", 0, "repeat the predict N times and report throughput instead of one answer")
-	concurrency := fs.Int("concurrency", 1, "concurrent clients for -loop")
 	fs.Parse(args)
 	if *name == "" {
 		return fmt.Errorf("client: predict needs -name")
@@ -304,103 +300,9 @@ func clientPredict(args []string) error {
 		req["dsize_mb"] = *dsizeMB
 	}
 	url := fmt.Sprintf("%s/models/%s/predict", strings.TrimRight(*addr, "/"), *name)
-	if *loop > 0 {
-		return predictLoop(url, req, *loop, *concurrency, *version != 0)
-	}
 	out, err := apiDo("POST", url, req)
 	if err != nil {
 		return err
 	}
 	return printJSON(out)
-}
-
-// predictLoop drives the predict endpoint n times from c concurrent
-// clients — the CLI face of the serving hot path — and prints a
-// throughput/latency summary. With a pinned version (checkSame), every
-// response must agree with the first: same request, same model version
-// ⇒ same answer, so a mismatch means the daemon served a torn model and
-// fails the run. Version 0 skips the check — a retrain landing mid-loop
-// legitimately changes the answer.
-func predictLoop(url string, req map[string]any, n, c int, checkSame bool) error {
-	if c < 1 {
-		c = 1
-	}
-	if c > n {
-		c = n
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	var (
-		wg        sync.WaitGroup
-		mu        sync.Mutex
-		lats      []float64
-		mismatch  error
-		firstPred *float64
-	)
-	start := time.Now()
-	per := n / c
-	for i := 0; i < c; i++ {
-		quota := per
-		if i == 0 {
-			quota += n % c
-		}
-		wg.Add(1)
-		go func(quota int) {
-			defer wg.Done()
-			var mine []float64
-			for j := 0; j < quota; j++ {
-				t0 := time.Now()
-				out, err := apiDo("POST", url, json.RawMessage(body))
-				if err != nil {
-					mu.Lock()
-					if mismatch == nil {
-						mismatch = err
-					}
-					mu.Unlock()
-					return
-				}
-				mine = append(mine, time.Since(t0).Seconds())
-				pred, _ := out["predicted_sec"].(float64)
-				if checkSame {
-					mu.Lock()
-					if firstPred == nil {
-						v := pred
-						firstPred = &v
-					} else if pred != *firstPred && mismatch == nil {
-						mismatch = fmt.Errorf("client: predict answered %v then %v for the same request", *firstPred, pred)
-					}
-					bad := mismatch != nil
-					mu.Unlock()
-					if bad {
-						return
-					}
-				}
-			}
-			mu.Lock()
-			lats = append(lats, mine...)
-			mu.Unlock()
-		}(quota)
-	}
-	wg.Wait()
-	if mismatch != nil {
-		return mismatch
-	}
-	elapsed := time.Since(start).Seconds()
-	sort.Float64s(lats)
-	pick := func(q float64) float64 {
-		if len(lats) == 0 {
-			return 0
-		}
-		return lats[int(q*float64(len(lats)-1))] * 1e6
-	}
-	return printJSON(map[string]any{
-		"requests":    len(lats),
-		"concurrency": c,
-		"elapsed_sec": elapsed,
-		"qps":         float64(len(lats)) / elapsed,
-		"p50_us":      pick(0.50),
-		"p99_us":      pick(0.99),
-	})
 }

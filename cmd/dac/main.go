@@ -74,8 +74,6 @@ func main() {
 		err = cmdImportance(os.Args[2:])
 	case "search":
 		err = cmdSearch(os.Args[2:])
-	case "bench":
-		err = cmdBench(os.Args[2:])
 	case "serve":
 		err = cmdServe(os.Args[2:])
 	case "worker":
@@ -93,7 +91,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: dac <collect|train|search|tune|show|compare|importance|bench|serve|worker|client> [flags]
+	fmt.Fprintln(os.Stderr, `usage: dac <collect|train|search|tune|show|compare|importance|serve|worker|client> [flags]
   dac collect -workload TS -n 2000 -out ts.csv
   dac train   -in ts.csv -out ts.model          # fit HM on collected data
   dac search  -model ts.model -workload TS -size 30 [-out spark-dac.conf] [-searcher tpe]
@@ -102,7 +100,6 @@ func usage() {
   dac show    -workload TS
   dac compare -workload TS [-ntrain 2000]
   dac importance -in ts.csv [-top 10]
-  dac bench   [-json BENCH_model.json] [-quick]  # ns/op of the model pipeline
   dac serve   [-addr :7411] [-data dacd-data] [-workers 2] [-coordinator] [-auth-token T] [-gc-keep-versions N]
   dac worker  [-coordinator http://127.0.0.1:7411] [-name w1] [-parallelism N]  # fleet sweep worker
   dac client  <submit|status|jobs|cancel|models|predict|backends> [-addr http://127.0.0.1:7411]

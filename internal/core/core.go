@@ -557,7 +557,9 @@ func (t *RFHOCTuner) Tune(minMB, maxMB float64) (conf.Config, error) {
 	}
 	seedRng := rand.New(rand.NewSource(t.Opt.Seed + 6))
 	ss := root.Child("search")
-	res := ga.Minimize(t.Space, func(x []float64) float64 { return forest.Predict(x) },
+	// A nil searcher keeps the paper's baseline GA-only, whatever
+	// searcher the DAC side was given.
+	res := runSearcher(nil, t.Space, func(x []float64) float64 { return forest.Predict(x) },
 		seedConfsFrom(set, gaOpt.PopSize, seedRng), gaOpt)
 	ss.End()
 	return t.Space.FromVector(res.Best)

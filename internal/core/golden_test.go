@@ -31,6 +31,7 @@ var goldenPins = map[string]string{
 	"tune/PR":     "3aba192ec2dd7b6faa562bc9241bef52d2ea051dfc695fe38e1f3ba8c19dec1f",
 	"tune/TS/tpe": "3e962e9e93808cf1d01b75abc871eebb2b4ff1238a591d9dc2afab3f5c4786a7",
 	"online/TS":   "97a47bcd04c589d44f13708d18f679cc6e44cab6a03ce3f3bf4ed0aa817e90e9",
+	"rfhoc/TS":    "126abcf1ddbb8c23794e2a7002bed41b7f0fedc86a9983376175d9cd57111920",
 }
 
 // pinHash accumulates float bits (and counts, as float64s) in order.
@@ -110,6 +111,22 @@ func onlinePin(t *testing.T, tuner *core.Tuner, w *workloads.Workload) string {
 	return h.sum()
 }
 
+// rfhocPin digests the RFHOC baseline's one datasize-blind
+// configuration, tuned at the tuner's quick budget over the CLI's
+// training range.
+func rfhocPin(t *testing.T, tuner *core.Tuner, w *workloads.Workload) string {
+	t.Helper()
+	lo, hi, _ := goldenRange(w)
+	rfhoc := &core.RFHOCTuner{Space: tuner.Space, Exec: tuner.Exec, Opt: tuner.Opt}
+	cfg, err := rfhoc.Tune(lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h pinHash
+	h.add(cfg.Vector()...)
+	return h.sum()
+}
+
 // TestGoldenPins checks every pinned digest at GOMAXPROCS 1 and 4.
 func TestGoldenPins(t *testing.T) {
 	if testing.Short() {
@@ -129,6 +146,10 @@ func TestGoldenPins(t *testing.T) {
 			tuner, w := goldenTuner(t, "TS", 1)
 			return onlinePin(t, tuner, w)
 		},
+		"rfhoc/TS": func(t *testing.T) string {
+			tuner, w := goldenTuner(t, "TS", 1)
+			return rfhocPin(t, tuner, w)
+		},
 	}
 	for _, abbr := range []string{"TS", "WC", "PR"} {
 		runs["tune/"+abbr] = func(t *testing.T) string {
@@ -140,7 +161,7 @@ func TestGoldenPins(t *testing.T) {
 		t.Run(fmt.Sprintf("gomaxprocs=%d", procs), func(t *testing.T) {
 			prev := runtime.GOMAXPROCS(procs)
 			defer runtime.GOMAXPROCS(prev)
-			for _, name := range []string{"tune/TS", "tune/WC", "tune/PR", "tune/TS/tpe", "online/TS"} {
+			for _, name := range []string{"tune/TS", "tune/WC", "tune/PR", "tune/TS/tpe", "online/TS", "rfhoc/TS"} {
 				got := runs[name](t)
 				t.Logf("%s: %s", name, got)
 				if want := goldenPins[name]; got != want {

@@ -11,9 +11,11 @@ package journal
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -39,9 +41,12 @@ const magic = "dacj1"
 //	...
 //
 // with timeSec in strconv 'g'/-1 form (round-trips exactly) and the CRC
-// over the line's first three fields. A torn tail — the partial last line
-// a SIGKILL can leave — fails its CRC or parse and is truncated away on
-// open; every fully synced record before it survives.
+// over the line's first three fields. A record exists only once its
+// terminating newline is on disk. A torn tail — the partial last line a
+// SIGKILL can leave, including a complete, CRC-valid record whose newline
+// never landed — is truncated away on open; every fully synced record
+// before it survives, and so does every record appended after the
+// truncation.
 //
 // Records normally land in completion order. Compact rewrites the file
 // in global row-index order with duplicates dropped — the canonical
@@ -82,63 +87,64 @@ func Open(path, metaHash string) (*Journal, error) {
 		return nil, err
 	}
 	j := &Journal{f: f, path: path, meta: metaHash, known: make(map[int]float64)}
-
-	fi, err := f.Stat()
-	if err != nil {
+	if err := j.replay(); err != nil {
 		f.Close()
 		return nil, err
 	}
-	if fi.Size() == 0 {
-		if _, err := fmt.Fprintf(f, "%s %s\n", magic, metaHash); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, err
-		}
-		return j, nil
-	}
+	return j, nil
+}
 
-	// Replay: header, then records until EOF or the first bad line.
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	if !sc.Scan() {
-		f.Close()
-		return nil, fmt.Errorf("journal %s: missing header", path)
+// replay loads the file's records into the known map, truncates the
+// file after the last newline-terminated valid record, and leaves the
+// write offset there. An empty file, or one holding only a prefix of
+// this sweep's header (a creation torn before its sync), gets the header
+// written fresh.
+func (j *Journal) replay() error {
+	data, err := io.ReadAll(j.f)
+	if err != nil {
+		return fmt.Errorf("journal %s: %w", j.path, err)
 	}
-	header := sc.Text()
-	want := magic + " " + metaHash
-	if header != want {
-		f.Close()
-		return nil, fmt.Errorf("journal %s: header %q does not match this sweep (%q) — refusing to mix rows from a different collect", path, header, want)
+	header := magic + " " + j.meta + "\n"
+	if len(data) < len(header) && strings.HasPrefix(header, string(data)) {
+		if err := j.f.Truncate(0); err != nil {
+			return err
+		}
+		if _, err := j.f.WriteAt([]byte(header), 0); err != nil {
+			return err
+		}
+		if _, err := j.f.Seek(int64(len(header)), io.SeekStart); err != nil {
+			return err
+		}
+		return j.f.Sync()
 	}
-	goodBytes := int64(len(header) + 1)
-	for sc.Scan() {
-		line := sc.Text()
-		idx, sec, ok := parseRecord(line)
+	if !bytes.HasPrefix(data, []byte(header)) {
+		got, _, _ := strings.Cut(string(data), "\n")
+		return fmt.Errorf("journal %s: header %q does not match this sweep (%q) — refusing to mix rows from a different collect", j.path, got, strings.TrimSuffix(header, "\n"))
+	}
+	// A record counts only once its newline is on disk: a CRC-valid
+	// record without one is still a torn write, and appending after it
+	// would merge the next record into its line.
+	good := len(header)
+	for {
+		n := bytes.IndexByte(data[good:], '\n')
+		if n < 0 {
+			break
+		}
+		idx, sec, ok := parseRecord(string(data[good : good+n]))
 		if !ok {
 			break // torn or corrupt tail: truncate from here
 		}
 		j.known[idx] = sec
 		j.records++
-		goodBytes += int64(len(line) + 1)
+		good += n + 1
 	}
-	if err := sc.Err(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("journal %s: %w", path, err)
-	}
-	if goodBytes != fi.Size() {
-		if err := f.Truncate(goodBytes); err != nil {
-			f.Close()
-			return nil, err
+	if good != len(data) {
+		if err := j.f.Truncate(int64(good)); err != nil {
+			return err
 		}
 	}
-	if _, err := f.Seek(goodBytes, 0); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return j, nil
+	_, err = j.f.Seek(int64(good), io.SeekStart)
+	return err
 }
 
 // recordLine formats one record with its CRC, newline-terminated.

@@ -195,3 +195,40 @@ func TestCompactKeepsMetaBinding(t *testing.T) {
 		t.Fatal("compacted journal opened under a different sweep's meta hash")
 	}
 }
+
+// A creation torn before its header was synced leaves a prefix of the
+// header, possibly all of it but the newline. Open must write the header
+// fresh, and a row appended afterwards must survive a reopen.
+func TestOpenRepairsTornHeader(t *testing.T) {
+	meta := MetaHash("TS", 1, 100, []float64{10})
+	header := "dacj1 " + meta + "\n"
+	for cut := 0; cut < len(header); cut++ {
+		path := filepath.Join(t.TempDir(), "j")
+		if err := os.WriteFile(path, []byte(header[:cut]), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err := Open(path, meta)
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		if err := j.Append(rows(0, 1.5)); err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := header + recordLine(0, 1.5); string(b) != want {
+			t.Fatalf("cut %d: file %q, want %q", cut, b, want)
+		}
+		re, err := Open(path, meta)
+		if err != nil {
+			t.Fatalf("cut %d: reopen: %v", cut, err)
+		}
+		if re.Rows() != 1 {
+			t.Fatalf("cut %d: %d rows after reopen, want 1", cut, re.Rows())
+		}
+		re.Close()
+	}
+}

@@ -109,7 +109,7 @@ type JobSpec struct {
 	// Parallelism bounds concurrent executions while collecting
 	// (0 = GOMAXPROCS). Results are identical for any value.
 	Parallelism int `json:"parallelism,omitempty"`
-	// Online-loop budgets (tune_online only; 0 = core defaults, shrunk by
+	// Online loop budgets (tune_online only; 0 = core defaults, shrunk by
 	// Quick): screening-sample size, surviving parameter count, iteration
 	// count, and measured runs per iteration.
 	ScreenSamples int `json:"screen_samples,omitempty"`
@@ -1009,7 +1009,7 @@ func (m *Manager) runTune(ctx context.Context, id int64, spec JobSpec, t *core.T
 	return out, nil
 }
 
-// onlineOptions resolves the spec's online-loop budgets: core defaults,
+// onlineOptions resolves the spec's online loop budgets: core defaults,
 // shrunk by Quick, overridden by explicit values — the same precedence
 // the offline budgets use.
 func (spec JobSpec) onlineOptions() core.OnlineOptions {

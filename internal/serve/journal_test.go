@@ -155,12 +155,13 @@ func TestJournalEmptyFileGetsHeader(t *testing.T) {
 	re.Close()
 }
 
-// TestJournalTornTailBoundaryCuts pins the two nastiest torn-tail
-// shapes: a tail cut exactly on the CRC boundary (the record's three
-// data fields and the trailing comma made it to disk, the checksum did
-// not) and a final record that is record-prefix-only ("r," or a bare
-// "r"). Both must truncate cleanly, and resuming must rebuild a journal
-// byte-identical to one that was never torn.
+// TestJournalTornTailBoundaryCuts pins the nastiest torn-tail shapes: a
+// tail cut exactly on the CRC boundary (the record's three data fields
+// and the trailing comma made it to disk, the checksum did not), a final
+// record that is record-prefix-only ("r," or a bare "r"), and a complete,
+// CRC-valid record whose newline never landed. All must truncate
+// cleanly, and resuming must rebuild a journal byte-identical to one that
+// was never torn.
 func TestJournalTornTailBoundaryCuts(t *testing.T) {
 	meta := MetaHash("TS", 1, 100, []float64{10})
 	good := []core.RowTime{{Index: 0, TimeSec: 1.5}, {Index: 1, TimeSec: 2.25}}
@@ -185,10 +186,11 @@ func TestJournalTornTailBoundaryCuts(t *testing.T) {
 	}
 
 	for _, tail := range []string{
-		"r,2,3.125,", // cut exactly on the CRC boundary
-		"r,",         // final record is prefix-only
-		"r",          // not even the field separator made it
-		"r,2,",       // index landed, time did not
+		"r,2,3.125,",         // cut exactly on the CRC boundary
+		"r,",                 // final record is prefix-only
+		"r",                  // not even the field separator made it
+		"r,2,",               // index landed, time did not
+		"r,2,3.125,e111fc7c", // the whole CRC-valid record landed, its newline did not
 	} {
 		path := filepath.Join(t.TempDir(), "j.journal")
 		j, err := OpenJournal(path, meta)

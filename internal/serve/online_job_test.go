@@ -148,7 +148,7 @@ func onlineJournalMeta(t *testing.T, m *Manager, spec JobSpec, id int64) string 
 }
 
 // TestTuneOnlineJobRestartResume is the tentpole's durability criterion:
-// a daemon killed mid-loop leaves the job running on disk with a partial
+// a daemon killed inside the loop leaves the job running on disk with a partial
 // journal; the restarted daemon adopts it, replays the journaled rows
 // instead of re-running them, and lands on the identical final
 // configuration an uninterrupted daemon produces.

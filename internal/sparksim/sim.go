@@ -41,7 +41,7 @@ type RunSpec struct {
 
 // runScratch holds the working buffers one simulated run needs — the
 // derived environment, the per-run RNG, the per-stage task durations, the
-// median working copy, and the event-loop slot heap. A batch reuses one
+// median working copy, and the event loop's slot heap. A batch reuses one
 // scratch across all of its runs, so the collecting hot loop allocates
 // only the Results it returns; every buffer is fully reinitialized per
 // use, which keeps scratch reuse invisible to the simulation.

@@ -72,8 +72,9 @@ func FromFlat(nodes []FlatNode) (*Tree, error) {
 			return nil, fmt.Errorf("tree: node %d has child out of range", i)
 		}
 		// Grow and Flatten always place children after their parent. A
-		// child at or before its parent (a self-loop or back-edge in a
-		// corrupt snapshot) would send Predict round a cycle forever.
+		// child at or before its parent (a node pointing at itself or back
+		// up the tree in a corrupt snapshot) would send Predict round a
+		// cycle forever.
 		if int(n.Left) <= i || int(n.Right) <= i {
 			return nil, fmt.Errorf("tree: node %d has child %d/%d not after it", i, n.Left, n.Right)
 		}

@@ -83,8 +83,9 @@ func TestBinWithEdgesMatchesBuilderBin(t *testing.T) {
 }
 
 // TestFromFlatRejectsMalformed pins the decoder's structural checks on
-// node lists read back from stored snapshots. A self-loop or back-edge
-// would otherwise load and send Predict round a cycle forever.
+// node lists read back from stored snapshots. A child pointing at itself
+// or back up the tree would otherwise load and send Predict round a cycle
+// forever.
 func TestFromFlatRejectsMalformed(t *testing.T) {
 	leaf := FlatNode{Leaf: true, Value: 1}
 	for _, c := range []struct {
