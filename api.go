@@ -102,15 +102,20 @@ func NewSubSpace(full *Space, base Config, names []string) (*SubSpace, error) {
 // Searchers beyond the GA (§3.3's rejected alternatives), exposed for
 // ablation studies.
 type (
-	// SearchResult is a non-GA searcher's outcome.
+	// SearchResult is a searcher's outcome (the same type as GAResult).
 	SearchResult = search.Result
-	// SearchObjective maps an encoded configuration to the minimized value.
+	// SearchObjective scores a block of encoded configurations: out[i]
+	// receives the minimized value of X[i].
 	SearchObjective = search.Objective
 )
 
+// ScalarObjective adapts a per-configuration function to the block
+// SearchObjective every searcher takes.
+func ScalarObjective(f func(x []float64) float64) SearchObjective { return ga.Scalar(f) }
+
 // GAMinimize runs the paper's genetic algorithm over space.
 func GAMinimize(space *Space, obj SearchObjective, init [][]float64, opt GAOptions) GAResult {
-	return ga.Minimize(space, ga.Objective(obj), init, opt)
+	return ga.Minimize(space, obj, init, opt)
 }
 
 // RandomSearch evaluates budget random configurations.

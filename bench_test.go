@@ -238,12 +238,11 @@ func BenchmarkAblationSearchers(b *testing.B) {
 	}
 	space := dac.StandardSpace()
 	target := w.InputMB(30)
-	x := make([]float64, space.Len()+1)
-	obj := func(v []float64) float64 {
-		copy(x, v)
-		x[len(x)-1] = target
-		return m.Predict(x)
-	}
+	// The row is allocated per call: GA and random search score disjoint
+	// chunks concurrently.
+	obj := dac.ScalarObjective(func(v []float64) float64 {
+		return m.Predict(append(append(make([]float64, 0, len(v)+1), v...), target))
+	})
 	const budget = 2000
 	var gaBest, rrsBest, patBest, rndBest, annBest float64
 	b.ResetTimer()

@@ -78,12 +78,10 @@ type (
 	Overhead = core.Overhead
 	// Executor abstracts the system that runs program-input pairs.
 	Executor = core.Executor
-	// ExecutorFunc adapts a plain function to Executor.
+	// ExecutorFunc adapts a function running one program-input pair to
+	// Executor.
 	ExecutorFunc = core.ExecutorFunc
-	// BatchExecutor is an Executor that runs a whole chunk of collecting
-	// jobs in one call; the collector prefers it when available.
-	BatchExecutor = core.BatchExecutor
-	// SimExecutor is the simulator-backed BatchExecutor.
+	// SimExecutor is the simulator-backed Executor.
 	SimExecutor = core.SimExecutor
 	// Model predicts execution time from configuration + datasize.
 	Model = model.Model
@@ -126,9 +124,8 @@ func WorkloadByAbbr(abbr string) (*Workload, error) { return workloads.ByAbbr(ab
 func NewSimulator(cl Cluster, seed int64) *Simulator { return sparksim.New(cl, seed) }
 
 // NewSimExecutor adapts a simulator and a program to the Executor
-// interface the tuning pipeline consumes. The returned executor also
-// implements BatchExecutor, so the collector batches each worker's chunk
-// through one sparksim.RunBatch call.
+// interface the tuning pipeline consumes: the collector runs each
+// worker's chunk through one batched simulator call.
 func NewSimExecutor(sim *Simulator, p *Program) *SimExecutor {
 	return core.NewSimExecutor(sim, p)
 }

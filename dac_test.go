@@ -153,7 +153,7 @@ func TestPerfSetCSVThroughFacade(t *testing.T) {
 
 func TestSearchersThroughFacade(t *testing.T) {
 	space := dac.StandardSpace()
-	obj := func(x []float64) float64 { return x[0] }
+	obj := dac.ScalarObjective(func(x []float64) float64 { return x[0] })
 	if res := dac.RandomSearch(space, obj, 20, 1); res.Evaluations != 20 {
 		t.Error("random search budget not honored")
 	}

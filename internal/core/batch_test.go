@@ -47,10 +47,10 @@ func setCSV(t *testing.T, set *dataset.Set) []byte {
 }
 
 // TestCollectBatchByteIdenticalCSV pins the acceptance contract of the
-// batched collecting path: the CSV written from a batched collect must be
-// byte-identical to the serial per-job executor's, at GOMAXPROCS 1 and 4
-// alike, and the batch path must actually be exercised (counted under
-// "core.collect.batches").
+// batched collecting path: the CSV written from a SimExecutor collect
+// must be byte-identical to a per-job ExecutorFunc's, at GOMAXPROCS 1 and
+// 4 alike, and every chunk must go through one ExecuteBatch call
+// (counted under "core.collect.batches").
 func TestCollectBatchByteIdenticalCSV(t *testing.T) {
 	w, err := workloads.ByAbbr("TS")
 	if err != nil {
@@ -81,9 +81,9 @@ func TestCollectBatchByteIdenticalCSV(t *testing.T) {
 	}
 }
 
-// TestSimExecutorBatchMatchesExecute pins the BatchExecutor contract on the
+// TestSimExecutorBatchMatchesExecute pins the Executor contract on the
 // simulator binding: ExecuteBatch must return, per job in job order, the
-// exact time Execute returns for that job.
+// exact time a single simulator Run of that job reports.
 func TestSimExecutorBatchMatchesExecute(t *testing.T) {
 	w, err := workloads.ByAbbr("TS")
 	if err != nil {
@@ -102,8 +102,8 @@ func TestSimExecutorBatchMatchesExecute(t *testing.T) {
 		t.Fatalf("ExecuteBatch returned %d times for %d jobs", len(times), len(jobs))
 	}
 	for i, j := range jobs {
-		if got := exec.Execute(j.Cfg, j.DsizeMB); got != times[i] {
-			t.Fatalf("job %d: Execute=%v ExecuteBatch=%v", i, got, times[i])
+		if got := sim.Run(&w.Program, j.DsizeMB, j.Cfg).TotalSec; got != times[i] {
+			t.Fatalf("job %d: Run=%v ExecuteBatch=%v", i, got, times[i])
 		}
 	}
 }

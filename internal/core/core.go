@@ -33,22 +33,6 @@ type UncertainModel interface {
 	PredictWithUncertainty(x []float64) (pred, std float64)
 }
 
-// Executor runs one program-input pair under a configuration and reports
-// its execution time in seconds. The simulator-backed implementation lives
-// next to the Tuner (SimExecutor in this package); a binding to a real
-// cluster would satisfy the same interface.
-type Executor interface {
-	Execute(cfg conf.Config, dsizeMB float64) float64
-}
-
-// ExecutorFunc adapts a function to the Executor interface.
-type ExecutorFunc func(cfg conf.Config, dsizeMB float64) float64
-
-// Execute implements Executor.
-func (f ExecutorFunc) Execute(cfg conf.Config, dsizeMB float64) float64 {
-	return f(cfg, dsizeMB)
-}
-
 // Job is one collecting work item: execute the program under Cfg with
 // DsizeMB megabytes of input.
 type Job struct {
@@ -56,16 +40,30 @@ type Job struct {
 	DsizeMB float64
 }
 
-// BatchExecutor is an Executor that can run a whole chunk of collecting
-// jobs in one call, amortizing per-run setup (program validation,
-// scratch buffers) across the chunk. ExecuteBatch must return one time
-// per job, in job order, each identical to what Execute would return for
-// that job — the collector relies on this to keep batched and per-job
-// collection byte-identical. The collector prefers this interface when
-// the executor implements it.
-type BatchExecutor interface {
-	Executor
+// Executor runs program-input pairs and reports their execution times in
+// seconds. ExecuteBatch runs a chunk of collecting jobs in one call —
+// amortizing per-run setup (program validation, scratch buffers) across
+// the chunk — and returns one time per job, in job order, each depending
+// on that job alone: the collector relies on this to keep collects
+// byte-identical for any chunking. The simulator-backed implementation
+// lives next to the Tuner (SimExecutor in this package); a binding to a
+// real cluster would satisfy the same interface, and ExecutorFunc adapts
+// a function that runs one job.
+type Executor interface {
 	ExecuteBatch(jobs []Job) []float64
+}
+
+// ExecutorFunc adapts a function running one program-input pair to the
+// Executor interface.
+type ExecutorFunc func(cfg conf.Config, dsizeMB float64) float64
+
+// ExecuteBatch implements Executor: one call of f per job.
+func (f ExecutorFunc) ExecuteBatch(jobs []Job) []float64 {
+	out := make([]float64, len(jobs))
+	for i, j := range jobs {
+		out[i] = f(j.Cfg, j.DsizeMB)
+	}
+	return out
 }
 
 // Options configures the pipeline. The zero value selects the paper's
@@ -97,8 +95,8 @@ type Options struct {
 	// Searcher.Search with the candidate budget the GA options imply
 	// (PopSize×(Generations+1), so every searcher considers as many
 	// configurations as the paper's GA would), the same derived seed, the
-	// same training-set population seeds, and the same batch objective
-	// and genome cache. Nil, or any search.GASearcher (the registry's
+	// same training-set population seeds, and the same objective and
+	// genome cache. Nil, or any search.GASearcher (the registry's
 	// "ga"), selects the paper's GA carrying the GA options above — the
 	// way a nil Sampler selects the uniform generator. A GASearcher's own
 	// Opt is replaced by GA: set the GA shape there, not on the searcher.
@@ -262,6 +260,46 @@ func (t *Tuner) modelBackend() (model.Backend, model.TrainOpts) {
 	return b, to
 }
 
+// withDsize returns the feature rows of the genomes in X at dsizeMB:
+// each genome with the dsize column appended, backed by one buffer.
+func withDsize(X [][]float64, dsizeMB float64) [][]float64 {
+	if len(X) == 0 {
+		return nil
+	}
+	d := len(X[0]) + 1
+	rows := make([][]float64, len(X))
+	buf := make([]float64, len(X)*d)
+	for i, x := range X {
+		row := buf[i*d : (i+1)*d : (i+1)*d]
+		copy(row, x)
+		row[d-1] = dsizeMB
+		rows[i] = row
+	}
+	return rows
+}
+
+// timePredict attributes model-predict latency separately from the
+// searcher's own bookkeeping: each block observes its per-row mean
+// latency once per row in the "model.predict.sec" histogram, so the
+// histogram's count is the rows scored and its mean the per-row cost.
+// Without a registry obj is returned as-is.
+func (t *Tuner) timePredict(obj ga.Objective) ga.Objective {
+	if t.Obs == nil {
+		return obj
+	}
+	h := t.Obs.Histogram("model.predict.sec", predictBounds)
+	return func(X [][]float64, out []float64) {
+		t0 := time.Now()
+		obj(X, out)
+		if len(X) > 0 {
+			per := time.Since(t0).Seconds() / float64(len(X))
+			for range X {
+				h.Observe(per)
+			}
+		}
+	}
+}
+
 // Search runs the GA over the trained model for one target dataset size
 // and returns the best configuration, its predicted time, and the GA
 // result (for convergence analysis, Fig. 11). seedConfs optionally seeds
@@ -278,81 +316,28 @@ func (t *Tuner) search(m model.Model, dsizeMB float64, seedConfs [][]float64) (c
 	if gaOpt.Seed == 0 {
 		gaOpt.Seed = opt.Seed + 2
 	}
-	// The objective allocates its feature row per call: the GA's worker
-	// pool calls it from several goroutines, so a shared buffer would race.
-	d := t.Space.Len()
-	obj := func(cfgVec []float64) float64 {
-		x := make([]float64, d+1)
-		copy(x, cfgVec)
-		x[d] = dsizeMB
-		return m.Predict(x)
-	}
-	// Batch form of the same objective: append the dsize column to every
-	// genome and score the block through the model's batch fast path.
-	// Bit-identical to obj per row (the BatchPredictor contract).
-	var batchObj ga.BatchObjective
-	if bp, ok := m.(model.BatchPredictor); ok {
-		batchObj = func(X [][]float64, out []float64) {
-			rows := make([][]float64, len(X))
-			buf := make([]float64, len(X)*(d+1))
-			for i, cfgVec := range X {
-				row := buf[i*(d+1) : (i+1)*(d+1) : (i+1)*(d+1)]
-				copy(row, cfgVec)
-				row[d] = dsizeMB
-				rows[i] = row
-			}
-			bp.PredictBatch(rows, out)
-		}
-	}
+	// The objective appends the dsize column to every genome of the
+	// block and scores the rows in one model.PredictBatch call — or, for
+	// robust search, one uncertainty query per row. Rows are allocated
+	// per call: the evaluator scores disjoint blocks concurrently.
+	predict := func(X [][]float64, out []float64) { model.PredictBatch(m, X, out) }
 	if opt.RobustSearch {
 		if um, ok := m.(UncertainModel); ok {
 			kappa := opt.RobustKappa
 			if kappa <= 0 {
 				kappa = 1
 			}
-			// Uncertainty has no batch form; fall back to per-row calls.
-			batchObj = nil
-			obj = func(cfgVec []float64) float64 {
-				x := make([]float64, d+1)
-				copy(x, cfgVec)
-				x[d] = dsizeMB
-				pred, std := um.PredictWithUncertainty(x)
-				return pred + kappa*std
-			}
-		}
-	}
-	if t.Obs != nil {
-		// Attribute model-predict latency separately from the GA's own
-		// bookkeeping; the histogram add costs ~100ns against a predict
-		// that walks thousands of trees.
-		h := t.Obs.Histogram("model.predict.sec", predictBounds)
-		inner := obj
-		obj = func(cfgVec []float64) float64 {
-			t0 := time.Now()
-			v := inner(cfgVec)
-			h.Observe(time.Since(t0).Seconds())
-			return v
-		}
-		if batchObj != nil {
-			// The batch path observes the per-row mean, once per row, so
-			// the histogram's count and sum stay comparable to the
-			// per-row path.
-			innerB := batchObj
-			batchObj = func(X [][]float64, out []float64) {
-				t0 := time.Now()
-				innerB(X, out)
-				if len(X) > 0 {
-					per := time.Since(t0).Seconds() / float64(len(X))
-					for range X {
-						h.Observe(per)
-					}
+			predict = func(X [][]float64, out []float64) {
+				for i, x := range X {
+					pred, std := um.PredictWithUncertainty(x)
+					out[i] = pred + kappa*std
 				}
 			}
 		}
 	}
-	if gaOpt.BatchObj == nil {
-		gaOpt.BatchObj = batchObj
-	}
+	obj := t.timePredict(func(X [][]float64, out []float64) {
+		predict(withDsize(X, dsizeMB), out)
+	})
 	start := time.Now()
 	res := runSearcher(opt.Searcher, t.Space, obj, seedConfs, gaOpt)
 	elapsed := time.Since(start).Seconds()
@@ -452,38 +437,22 @@ func (t *Tuner) tuneCollected(root *obs.Span, set *dataset.Set, ovC Overhead, ta
 // runSearcher is the searching stage's one path. It resolves the
 // searcher — nil, or any search.GASearcher, becomes the paper's GA
 // carrying the tuner's GA options, the way a nil Sampler becomes
-// conf.UniformSampler — runs it with the candidate budget and wiring the
-// GA options imply, and converts the outcome back to the GA result shape
-// the pipeline reports (Converged recomputed with ga's
-// 0.5%-of-final-best rule over the searcher's round history).
+// conf.UniformSampler — and runs it with the candidate budget and wiring
+// the GA options imply. Every searcher reports ga.Result, Converged
+// included, so the outcome passes through unchanged.
 func runSearcher(s search.Searcher, space *conf.Space, obj ga.Objective, init [][]float64, gaOpt ga.Options) ga.Result {
 	switch s.(type) {
 	case nil, search.GASearcher:
 		s = search.GASearcher{Opt: gaOpt}
 	}
-	sres := s.Search(space, search.Objective(obj), search.Options{
-		Budget:   search.GABudget(gaOpt),
-		Seed:     gaOpt.Seed,
-		Init:     init,
-		BatchObj: gaOpt.BatchObj,
-		Workers:  gaOpt.Workers,
-		Cache:    gaOpt.Cache,
-		Obs:      gaOpt.Obs,
+	return s.Search(space, obj, search.Options{
+		Budget:  search.GABudget(gaOpt),
+		Seed:    gaOpt.Seed,
+		Init:    init,
+		Workers: gaOpt.Workers,
+		Cache:   gaOpt.Cache,
+		Obs:     gaOpt.Obs,
 	})
-	res := ga.Result{
-		Best:        sres.Best,
-		BestFitness: sres.BestFitness,
-		History:     sres.History,
-		Evaluations: sres.Evaluations,
-		CacheHits:   sres.CacheHits,
-	}
-	for g, v := range res.History {
-		if v <= res.BestFitness*1.005+1e-12 {
-			res.Converged = g + 1
-			break
-		}
-	}
-	return res
 }
 
 // seedConfsFrom extracts up to n configuration vectors from the training
@@ -550,17 +519,13 @@ func (t *RFHOCTuner) Tune(minMB, maxMB float64) (conf.Config, error) {
 	if gaOpt.Seed == 0 {
 		gaOpt.Seed = t.Opt.Seed + 4
 	}
-	if gaOpt.BatchObj == nil {
-		// RFHOC's model is datasize-blind, so the genome is the whole
-		// feature row — the forest's batch path applies directly.
-		gaOpt.BatchObj = forest.PredictBatch
-	}
 	seedRng := rand.New(rand.NewSource(t.Opt.Seed + 6))
 	ss := root.Child("search")
-	// A nil searcher keeps the paper's baseline GA-only, whatever
-	// searcher the DAC side was given.
-	res := runSearcher(nil, t.Space, func(x []float64) float64 { return forest.Predict(x) },
-		seedConfsFrom(set, gaOpt.PopSize, seedRng), gaOpt)
+	// RFHOC's model is datasize-blind, so the genome is the whole
+	// feature row and the forest's batch prediction is the objective. A
+	// nil searcher keeps the paper's baseline GA-only, whatever searcher
+	// the DAC side was given.
+	res := runSearcher(nil, t.Space, forest.PredictBatch, seedConfsFrom(set, gaOpt.PopSize, seedRng), gaOpt)
 	ss.End()
 	return t.Space.FromVector(res.Best)
 }

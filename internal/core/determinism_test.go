@@ -78,14 +78,16 @@ func TestTuneDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-// rowOnly hides a model's PredictBatch, forcing the tuner onto the
-// pre-optimization per-row objective path.
+// rowOnly hides a model's PredictBatch, forcing the tuner's objective
+// onto model.PredictBatch's per-row fallback.
 type rowOnly struct{ model.Model }
 
 // TestSearchBatchWiringMatchesSerialGA pins the tuner-level contract of
-// the batched searcher: the dsize-appending batch objective, the genome
-// cache, and the worker pool together must return the exact configuration
-// and prediction the serial per-row search returns.
+// the searcher's one objective: the dsize-appending block objective, the
+// genome cache, and the worker pool together must return the exact
+// configuration and prediction the serial per-row search returns — for
+// the point prediction (against a model without a batch path) and for
+// RobustSearch (against a per-row GA over prediction + κ·dispersion).
 func TestSearchBatchWiringMatchesSerialGA(t *testing.T) {
 	space := conf.StandardSpace()
 	rng := rand.New(rand.NewSource(4))
@@ -98,32 +100,65 @@ func TestSearchBatchWiringMatchesSerialGA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Robust search needs sub-model dispersion: a model recursing to
+	// order 3, as the tuner trains one for RobustSearch.
+	um, err := hm.Train(ds, hm.Options{Trees: 80, LearningRate: 0.1, TreeComplexity: 5, Seed: 2,
+		MaxOrder: 3, TargetAccuracy: 0.999})
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	run := func(mm model.Model, gaOpt ga.Options, reg *obs.Registry) ([]float64, float64) {
-		tuner := &Tuner{Space: space, Opt: Options{GA: gaOpt, Seed: 9}, Obs: reg}
-		cfg, pred, _, _, err := tuner.Search(mm, 500, nil)
+	const dsize, seed = 500, 9
+	run := func(mm model.Model, opt Options, reg *obs.Registry) ([]float64, float64) {
+		opt.Seed = seed
+		tuner := &Tuner{Space: space, Opt: opt, Obs: reg}
+		cfg, pred, _, _, err := tuner.Search(mm, dsize, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return cfg.Vector(), pred
 	}
+	same := func(label string, vec []float64, pred float64, refVec []float64, refPred float64) {
+		t.Helper()
+		if pred != refPred {
+			t.Fatalf("%s: prediction %v differs from serial reference %v", label, pred, refPred)
+		}
+		for i := range refVec {
+			if vec[i] != refVec[i] {
+				t.Fatalf("%s: config dimension %d differs: %v vs %v", label, i, vec[i], refVec[i])
+			}
+		}
+	}
 	base := ga.Options{PopSize: 20, Generations: 12}
 	refOpt := base
 	refOpt.Workers = 1
-	refVec, refPred := run(rowOnly{m}, refOpt, nil)
+	refVec, refPred := run(rowOnly{m}, Options{GA: refOpt}, nil)
+
+	// RobustSearch's reference is a serial GA over the per-row penalized
+	// prediction, seeded the way the tuner derives its search seed.
+	const kappa = 1.5
+	robustRef := refOpt
+	robustRef.Seed = seed + 2
+	rres := ga.Minimize(space, ga.Scalar(func(x []float64) float64 {
+		pred, std := um.PredictWithUncertainty(append(append([]float64(nil), x...), dsize))
+		return pred + kappa*std
+	}), nil, robustRef)
+	rcfg, err := space.FromVector(rres.Best)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, std := um.PredictWithUncertainty(append(append([]float64(nil), rres.Best...), dsize)); std == 0 {
+		t.Fatal("robust reference has zero dispersion at its best: the penalty is inert")
+	}
+
 	for _, tc := range []struct {
 		label string
 		reg   *obs.Registry
 	}{{"plain", nil}, {"observed", obs.NewRegistry()}} {
-		vec, pred := run(m, base, tc.reg)
-		if pred != refPred {
-			t.Fatalf("%s: prediction %v differs from serial reference %v", tc.label, pred, refPred)
-		}
-		for i := range refVec {
-			if vec[i] != refVec[i] {
-				t.Fatalf("%s: config dimension %d differs: %v vs %v", tc.label, i, vec[i], refVec[i])
-			}
-		}
+		vec, pred := run(m, Options{GA: base}, tc.reg)
+		same(tc.label, vec, pred, refVec, refPred)
+		vec, pred = run(um, Options{GA: base, RobustSearch: true, RobustKappa: kappa}, tc.reg)
+		same(tc.label+"/robust", vec, pred, rcfg.Vector(), rres.BestFitness)
 	}
 }
 

@@ -28,14 +28,13 @@ func NewSimTuner(w *workloads.Workload, cl cluster.Cluster, opt Options, reg *ob
 }
 
 // SimExecutor runs program-input pairs on the cluster simulator — the
-// Executor the facade and the commands wire into the pipeline. It
-// implements BatchExecutor: a chunk of collecting jobs becomes one
-// sparksim.RunBatchInto call over pooled Result storage, so program
-// validation, the per-run scratch buffers, and the Result allocations are
-// paid once per chunk (or recycled across chunks) instead of once per
-// run. Both paths report identical times (RunBatch's bit-identity
-// contract), so the collector may pick either without changing any
-// result.
+// Executor the facade and the commands wire into the pipeline. A chunk
+// of collecting jobs becomes one sparksim.RunBatchInto call over pooled
+// Result storage, so program validation, the per-run scratch buffers,
+// and the Result allocations are paid once per chunk (or recycled across
+// chunks) instead of once per run. Every time is bit-identical to a
+// single sparksim.Run of its job (RunBatchInto's contract), so the
+// chunking never changes a result.
 type SimExecutor struct {
 	Sim  *sparksim.Simulator
 	Prog *sparksim.Program
@@ -53,17 +52,12 @@ type batchScratch struct {
 }
 
 // NewSimExecutor adapts a simulator and a program to the collecting
-// pipeline's executor interfaces.
+// pipeline's Executor interface.
 func NewSimExecutor(sim *sparksim.Simulator, p *sparksim.Program) *SimExecutor {
 	return &SimExecutor{Sim: sim, Prog: p}
 }
 
-// Execute implements Executor: one simulated run.
-func (e *SimExecutor) Execute(cfg conf.Config, dsizeMB float64) float64 {
-	return e.Sim.Run(e.Prog, dsizeMB, cfg).TotalSec
-}
-
-// ExecuteBatch implements BatchExecutor: one RunBatchInto over the chunk,
+// ExecuteBatch implements Executor: one RunBatchInto over the chunk,
 // against pooled Result storage.
 func (e *SimExecutor) ExecuteBatch(jobs []Job) []float64 {
 	sc, _ := e.scratch.Get().(*batchScratch)

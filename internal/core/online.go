@@ -440,23 +440,32 @@ func (t *Tuner) searchSubspace(m model.Model, ss *conf.SubSpace, set *dataset.Se
 	opt := t.Opt.withDefaults()
 	gaOpt := t.obsGA(opt.GA)
 	gaOpt.Seed = gaSeed
-	gaOpt.BatchObj = nil // the guard vets candidates one at a time
 	gaOpt.Cache = nil
-	d := t.Space.Len()
+	// Each block's genomes are expanded and guard-vetted one by one; the
+	// survivors are scored together in one model.PredictBatch call.
 	var rejected atomic.Int64
-	obj := func(vec []float64) float64 {
-		full, err := ss.ExpandVector(vec)
-		if err != nil {
-			return guardPenalty
+	obj := func(X [][]float64, out []float64) {
+		rows := make([][]float64, 0, len(X))
+		at := make([]int, 0, len(X))
+		for i, vec := range X {
+			full, err := ss.ExpandVector(vec)
+			if err != nil {
+				out[i] = guardPenalty
+				continue
+			}
+			if guard != nil && guard(full, dsizeMB) {
+				rejected.Add(1)
+				out[i] = guardPenalty
+				continue
+			}
+			rows = append(rows, append(full.Vector(), dsizeMB))
+			at = append(at, i)
 		}
-		if guard != nil && guard(full, dsizeMB) {
-			rejected.Add(1)
-			return guardPenalty
+		preds := make([]float64, len(rows))
+		model.PredictBatch(m, rows, preds)
+		for k, i := range at {
+			out[i] = preds[k]
 		}
-		x := make([]float64, d+1)
-		copy(x, full.Vector())
-		x[d] = dsizeMB
-		return m.Predict(x)
 	}
 	start := time.Now()
 	res := runSearcher(opt.Searcher, ss.Tunable, obj, subspaceSeeds(ss, set), gaOpt)

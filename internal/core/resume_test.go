@@ -19,14 +19,14 @@ import (
 )
 
 // serialCollect is the collect oracle: every sweep row executed one at a
-// time through Exec.Execute, in index order, gathered into a set the way
-// the collector documents it.
+// time, as a one-job Exec.ExecuteBatch, in index order, gathered into a
+// set the way the collector documents it.
 func serialCollect(t *testing.T, tuner *Tuner, sizes []float64) (*dataset.Set, Overhead) {
 	t.Helper()
 	set := dataset.NewSet(tuner.Space)
 	var clusterSec float64
 	for _, j := range tuner.CollectJobs(sizes) {
-		sec := tuner.Exec.Execute(j.Cfg, j.DsizeMB)
+		sec := tuner.Exec.ExecuteBatch([]Job{j})[0]
 		set.Add(j.Cfg, j.DsizeMB, sec)
 		clusterSec += sec
 	}

@@ -162,14 +162,14 @@ func (t *Tuner) collect(ctx context.Context, sizesMB []float64, hooks RowHooks) 
 // chunk — runs here. jobs are rows base, base+1, ... of the hooks' index
 // space. Rows hooks.Known reports land as-is; the rest queue in index
 // order as batchRows-sized batches that up to Parallelism workers pull
-// from a shared queue. A batch is one ExecuteBatch call when the executor
-// is a BatchExecutor ("core.collect.batches" counts those calls, each
-// timed under the "core.collect.batch" span) and per-job Execute calls
-// otherwise; its rows then go to hooks.OnBatch and hooks.Progress under
-// phase. Times land by position, so the result is byte-identical for any
-// executor kind, batch size, worker count, or GOMAXPROCS. Cancelling ctx
-// or an OnBatch error stops the queue between batches. Every time is
-// validated finite and positive. known counts the rows Known replayed.
+// from a shared queue. A batch is one ExecuteBatch call
+// ("core.collect.batches" counts those calls, each timed under the
+// "core.collect.batch" span); its rows then go to hooks.OnBatch and
+// hooks.Progress under phase. Times land by position, so the result is
+// byte-identical for any batch size, worker count, or GOMAXPROCS.
+// Cancelling ctx or an OnBatch error stops the queue between batches.
+// Every time is validated finite and positive. known counts the rows
+// Known replayed.
 func (t *Tuner) runRows(ctx context.Context, base int, jobs []Job, batchRows int, phase string, hooks RowHooks) (times []float64, known int, err error) {
 	times = make([]float64, len(jobs))
 	pending := make([]int, 0, len(jobs))
@@ -196,7 +196,6 @@ func (t *Tuner) runRows(ctx context.Context, base int, jobs []Job, batchRows int
 	}
 	close(batches)
 
-	be, batched := t.Exec.(BatchExecutor)
 	var (
 		done    atomic.Int64
 		stopped atomic.Bool
@@ -218,18 +217,10 @@ func (t *Tuner) runRows(ctx context.Context, base int, jobs []Job, batchRows int
 				for _, i := range idx {
 					jbuf = append(jbuf, jobs[i])
 				}
-				var sec []float64
-				if batched {
-					bs := t.Obs.StartSpan("core.collect.batch")
-					sec = be.ExecuteBatch(jbuf)
-					bs.End()
-					t.Obs.Counter("core.collect.batches").Inc()
-				} else {
-					sec = make([]float64, len(jbuf))
-					for k, j := range jbuf {
-						sec[k] = t.Exec.Execute(j.Cfg, j.DsizeMB)
-					}
-				}
+				bs := t.Obs.StartSpan("core.collect.batch")
+				sec := t.Exec.ExecuteBatch(jbuf)
+				bs.End()
+				t.Obs.Counter("core.collect.batches").Inc()
 				for k, i := range idx {
 					times[i] = sec[k]
 				}

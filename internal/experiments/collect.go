@@ -18,8 +18,8 @@ import (
 // Table 1 range (so the model interpolates rather than extrapolates at
 // the evaluation sizes). It delegates to the hook-capable core sweep —
 // checkpoint-sized batches through a worker pool, each batch one
-// sparksim.RunBatch call via the pooled batch executor — whose contract
-// keeps the collected set deterministic in (simSeed, seed) and
+// sparksim.RunBatchInto call via the pooled batch executor — whose
+// contract keeps the collected set deterministic in (simSeed, seed) and
 // byte-identical at any GOMAXPROCS and any batch size.
 func collect(sc Scale, w *workloads.Workload, n int, simSeed, seed int64) *dataset.Set {
 	sp := sc.Obs.StartSpan("experiments.collect")

@@ -9,16 +9,6 @@ import (
 	"repro/internal/conf"
 )
 
-// batchSphere is the BatchObjective form of sphere.
-func batchSphere(space *conf.Space) BatchObjective {
-	obj := sphere(space)
-	return func(X [][]float64, out []float64) {
-		for i, x := range X {
-			out[i] = obj(x)
-		}
-	}
-}
-
 // sameSearch asserts two results agree on everything the tuner consumes:
 // best configuration, fitness, convergence history.
 func sameSearch(t *testing.T, label string, ref, got Result) {
@@ -38,9 +28,9 @@ func sameSearch(t *testing.T, label string, ref, got Result) {
 }
 
 // TestEvaluationModesEquivalent pins the evaluation contract:
-// worker-pool evaluation, a caller-supplied cache, and the batch
-// objective must each leave the search result bit-identical to the
-// serial reference (Workers=1, run-private cache), for several seeds.
+// worker-pool evaluation and a caller-supplied cache must each leave the
+// search result bit-identical to the serial reference (Workers=1,
+// run-private cache), for several seeds.
 // Every genome of every generation is scored exactly once, by the
 // objective or by the cache.
 func TestEvaluationModesEquivalent(t *testing.T) {
@@ -50,7 +40,7 @@ func TestEvaluationModesEquivalent(t *testing.T) {
 		const scored = 30 * 31
 		refOpt := base
 		refOpt.Workers = 1
-		ref := Minimize(space, sphere(space), nil, refOpt)
+		ref := Minimize(space, Scalar(sphere(space)), nil, refOpt)
 		// Every mode below memoizes, so check the reference's answer
 		// against the objective itself.
 		if f := sphere(space)(ref.Best); f != ref.BestFitness {
@@ -65,12 +55,10 @@ func TestEvaluationModesEquivalent(t *testing.T) {
 			{"workers=2", func(o *Options) { o.Workers = 2 }},
 			{"workers=gomaxprocs", func(o *Options) {}},
 			{"shared-cache", func(o *Options) { o.Workers = 1; o.Cache = NewGenomeCache() }},
-			{"batchobj", func(o *Options) { o.Workers = 1; o.BatchObj = batchSphere(space) }},
-			{"batchobj+workers", func(o *Options) { o.BatchObj = batchSphere(space) }},
 		} {
 			opt := base
 			tc.mut(&opt)
-			got := Minimize(space, sphere(space), nil, opt)
+			got := Minimize(space, Scalar(sphere(space)), nil, opt)
 			sameSearch(t, tc.label, ref, got)
 			if got.Evaluations+got.CacheHits != scored {
 				t.Fatalf("%s seed %d: evals %d + hits %d != %d",
@@ -95,9 +83,9 @@ func TestSearchDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	opt := Options{PopSize: 25, Generations: 25, Seed: 3}
 
 	prev := runtime.GOMAXPROCS(1)
-	one := Minimize(space, sphere(space), nil, opt)
+	one := Minimize(space, Scalar(sphere(space)), nil, opt)
 	runtime.GOMAXPROCS(prev)
-	many := Minimize(space, sphere(space), nil, opt)
+	many := Minimize(space, Scalar(sphere(space)), nil, opt)
 	sameSearch(t, "gomaxprocs", one, many)
 	if one.Evaluations != many.Evaluations || one.CacheHits != many.CacheHits {
 		t.Fatalf("eval accounting differs: %d/%d vs %d/%d",
@@ -119,7 +107,7 @@ func TestCacheKeyExactBits(t *testing.T) {
 		return s
 	}
 	opt := Options{PopSize: 4, Generations: 1, Seed: 11, Workers: 1, MutationRate: 1e-12}
-	res := Minimize(space, obj, nil, opt)
+	res := Minimize(space, Scalar(obj), nil, opt)
 	if res.Evaluations != calls {
 		t.Fatalf("Evaluations=%d but objective ran %d times", res.Evaluations, calls)
 	}

@@ -38,27 +38,27 @@ var benchModel = sync.OnceValue(func() *hm.Model {
 
 // BenchmarkGASearch measures one full paper-setup search (popSize 100 ×
 // 100 generations) against a trained HM model — the searching column of
-// Table 3. The serial leg makes per-row objective calls on one worker;
-// the parallel leg is the batched pipeline: tree-at-a-time batch
+// Table 3. The serial leg makes per-row Predict calls on one worker;
+// the parallel leg is the pipeline's shape: tree-at-a-time batch
 // prediction and worker-pool evaluation. Both legs memoize genomes and
 // return identical results (see batch_test.go).
 func BenchmarkGASearch(b *testing.B) {
 	space := conf.StandardSpace()
 	m := benchModel()
 	for _, bc := range []struct {
-		name string
-		mut  func(*Options)
+		name    string
+		obj     Objective
+		workers int
 	}{
-		{"serial", func(o *Options) { o.Workers = 1 }},
-		{"parallel", func(o *Options) { o.BatchObj = m.PredictBatch }},
+		{"serial", Scalar(m.Predict), 1},
+		{"parallel", m.PredictBatch, 0},
 	} {
-		opt := Options{PopSize: 100, Generations: 100, Seed: 1}
-		bc.mut(&opt)
+		opt := Options{PopSize: 100, Generations: 100, Seed: 1, Workers: bc.workers}
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var last Result
 			for i := 0; i < b.N; i++ {
-				last = Minimize(space, m.Predict, nil, opt)
+				last = Minimize(space, bc.obj, nil, opt)
 			}
 			b.ReportMetric(float64(last.Evaluations), "evals")
 			b.ReportMetric(float64(last.CacheHits), "hits")
@@ -75,7 +75,7 @@ func BenchmarkMinimizePaperScale(b *testing.B) {
 	opt := Options{PopSize: 100, Generations: 100, Seed: 1}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Minimize(space, obj, nil, opt)
+		Minimize(space, Scalar(obj), nil, opt)
 	}
 }
 
@@ -85,6 +85,6 @@ func BenchmarkGeneration(b *testing.B) {
 	obj := sphere(space)
 	opt := Options{PopSize: 50, Generations: 1, Seed: 1}
 	for i := 0; i < b.N; i++ {
-		Minimize(space, obj, nil, opt)
+		Minimize(space, Scalar(obj), nil, opt)
 	}
 }

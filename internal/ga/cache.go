@@ -1,7 +1,10 @@
 package ga
 
 import (
+	"encoding/binary"
+	"math"
 	"runtime"
+	"strings"
 	"sync"
 
 	"repro/internal/obs"
@@ -110,6 +113,96 @@ func (c *GenomeCache) Store(key string, v float64) {
 	}
 	s.m[key] = v
 	s.mu.Unlock()
+}
+
+// Key encodes a vector's exact float64 bits as a string, 8 bytes per
+// element, little-endian, in one allocation. Two vectors share a key if
+// and only if they are bit-identical element for element — the
+// equivalence the model.BatchPredictor contract guarantees over, so a
+// pure objective or a deterministic model returns the same value for
+// rows with equal keys however they are batched. It is the key of every
+// memo in the module: GenomeCache entries written by Evaluate and the
+// daemon's per-model prediction memo. +0 and -0 encode differently, as
+// do distinct NaN payloads, which is exactly the conservatism a
+// bit-exact memo wants.
+func Key(x []float64) string {
+	var b strings.Builder
+	b.Grow(8 * len(x))
+	var w [8]byte
+	for _, v := range x {
+		binary.LittleEndian.PutUint64(w[:], math.Float64bits(v))
+		b.Write(w[:])
+	}
+	return b.String()
+}
+
+// Evaluate is the one memoized block evaluator every searcher scores
+// candidates through. It writes obj's value for X[i] into out[i]: rows
+// whose Key cache already holds are replayed, the unique remaining rows
+// are scored once each — split into disjoint contiguous chunks fanned
+// out over workers goroutines (0 = min(GOMAXPROCS, NumCPU); 1 = one
+// call on the caller's goroutine) — and the values are stored and
+// merged back serially in row order. A nil cache memoizes within the
+// block only. out is identical for any workers value, GOMAXPROCS, or
+// cache state. The default caps at NumCPU as well as GOMAXPROCS:
+// splitting a CPU-bound block across more goroutines than CPUs (common
+// in CPU-quota containers where GOMAXPROCS exceeds the quota) only
+// interleaves the chunks' cache footprints. It returns the number of rows the objective scored and
+// the number served by the cache or an earlier duplicate in the block;
+// the two sum to len(X).
+func Evaluate(obj Objective, cache *GenomeCache, workers int, X [][]float64, out []float64) (evaluated, hits int) {
+	var uniq [][]float64
+	var keys []string
+	slot := make([]int, len(X)) // index into uniq, or -1 for a cache hit
+	seen := make(map[string]int, len(X))
+	for i, x := range X {
+		k := Key(x)
+		if cache != nil {
+			if v, ok := cache.Lookup(k); ok {
+				out[i] = v
+				slot[i] = -1
+				continue
+			}
+		}
+		j, ok := seen[k]
+		if !ok {
+			j = len(uniq)
+			seen[k] = j
+			uniq = append(uniq, x)
+			keys = append(keys, k)
+		}
+		slot[i] = j
+	}
+	m := len(uniq)
+	vals := make([]float64, m)
+	if workers <= 0 {
+		workers = min(runtime.GOMAXPROCS(0), runtime.NumCPU())
+	}
+	if w := min(workers, m); w == 1 {
+		obj(uniq, vals)
+	} else if w > 1 {
+		var wg sync.WaitGroup
+		for c := 0; c < w; c++ {
+			lo, hi := c*m/w, (c+1)*m/w
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				obj(uniq[lo:hi], vals[lo:hi])
+			}()
+		}
+		wg.Wait()
+	}
+	if cache != nil {
+		for j, v := range vals {
+			cache.Store(keys[j], v)
+		}
+	}
+	for i, j := range slot {
+		if j >= 0 {
+			out[i] = vals[j]
+		}
+	}
+	return m, len(X) - m
 }
 
 // Len returns the number of memoized genomes across all shards.

@@ -20,12 +20,12 @@ func TestSharedCacheSameResult(t *testing.T) {
 	obj := sphere(space)
 	opt := quickOpt()
 
-	ref := Minimize(space, obj, nil, opt)
+	ref := Minimize(space, Scalar(obj), nil, opt)
 
 	shared := NewGenomeCache()
 	optS := opt
 	optS.Cache = shared
-	first := Minimize(space, obj, nil, optS)
+	first := Minimize(space, Scalar(obj), nil, optS)
 	if !reflect.DeepEqual(first.Best, ref.Best) || first.BestFitness != ref.BestFitness ||
 		!reflect.DeepEqual(first.History, ref.History) {
 		t.Fatal("shared-cache run diverged from the private-cache run")
@@ -37,7 +37,7 @@ func TestSharedCacheSameResult(t *testing.T) {
 
 	// A second identical run replays everything: zero objective calls,
 	// every lookup a hit, identical result.
-	second := Minimize(space, obj, nil, optS)
+	second := Minimize(space, Scalar(obj), nil, optS)
 	if !reflect.DeepEqual(second.Best, ref.Best) || second.BestFitness != ref.BestFitness {
 		t.Fatal("warm shared-cache run diverged")
 	}
@@ -68,7 +68,7 @@ func TestSharedCacheConcurrentSearches(t *testing.T) {
 	for s := range refs {
 		o := opt
 		o.Seed = int64(100 + s)
-		refs[s] = Minimize(space, obj, nil, o)
+		refs[s] = Minimize(space, Scalar(obj), nil, o)
 	}
 
 	shared := NewGenomeCache()
@@ -82,7 +82,7 @@ func TestSharedCacheConcurrentSearches(t *testing.T) {
 			o := opt
 			o.Seed = int64(100 + c%len(refs))
 			o.Cache = shared
-			got[c] = Minimize(space, obj, nil, o)
+			got[c] = Minimize(space, Scalar(obj), nil, o)
 		}(c)
 	}
 	wg.Wait()

@@ -10,29 +10,32 @@
 package ga
 
 import (
-	"encoding/binary"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"repro/internal/conf"
 	"repro/internal/obs"
 )
 
-// Objective maps an encoded configuration vector to the quantity being
-// minimized — for DAC, the model-predicted execution time in seconds.
-// Objectives must be pure: the search memoizes and replays values for
-// repeated individuals.
-type Objective func(x []float64) float64
+// Objective scores a block of encoded configuration vectors: out[i]
+// receives the quantity being minimized for X[i] — for DAC, the
+// model-predicted execution time in seconds. The block is the only
+// evaluation shape: model-backed objectives score it with
+// tree-at-a-time batch prediction, and Scalar adapts a per-row function.
+// Objectives must be pure (the search memoizes and replays values for
+// repeated individuals) and, when evaluation fans out (Workers != 1),
+// safe for concurrent calls on disjoint blocks.
+type Objective func(X [][]float64, out []float64)
 
-// BatchObjective scores a whole block of configurations in one call:
-// out[i] receives the objective of X[i]. Model-backed objectives
-// implement it with tree-at-a-time batch prediction, which is the GA hot
-// path's fast lane. Implementations must be pure, agree with the per-row
-// Objective they accompany, and be safe for concurrent calls on disjoint
-// blocks.
-type BatchObjective func(X [][]float64, out []float64)
+// Scalar adapts a per-row function to an Objective, calling f once per
+// row of the block.
+func Scalar(f func(x []float64) float64) Objective {
+	return func(X [][]float64, out []float64) {
+		for i, x := range X {
+			out[i] = f(x)
+		}
+	}
+}
 
 // Options are the GA hyperparameters. The zero value selects the paper's
 // setup: population 100, 100 generations, mutation rate 0.01.
@@ -54,13 +57,10 @@ type Options struct {
 	// Patience stops the search after this many generations without
 	// improvement; 0 disables early stopping.
 	Patience int
-	// BatchObj, when non-nil, replaces per-row calls of the Objective
-	// passed to Minimize for whole-population scoring (the Objective may
-	// then be nil).
-	BatchObj BatchObjective
-	// Workers bounds concurrent objective evaluation (0 = GOMAXPROCS,
-	// 1 = serial). The search result is identical for any value; with
-	// Workers != 1 the objective must be safe for concurrent calls.
+	// Workers bounds concurrent objective evaluation (0 = min(GOMAXPROCS,
+	// NumCPU), 1 = serial; see Evaluate). The search result is identical
+	// for any value; with Workers != 1 the objective must be safe for
+	// concurrent calls.
 	Workers int
 	// Cache, when non-nil, replaces the run-private genome memo cache
 	// with a shared one, letting repeated searches of the same objective
@@ -79,23 +79,6 @@ type Options struct {
 	// trajectory as a run of the "ga.best" series. Recording never
 	// perturbs the search.
 	Obs *obs.Registry
-}
-
-// workers resolves the effective evaluation parallelism. The default is
-// capped at NumCPU as well as GOMAXPROCS: splitting a CPU-bound batch
-// across more goroutines than physical CPUs (a common state in
-// CPU-quota containers where GOMAXPROCS exceeds the quota) only
-// interleaves the chunks' cache footprints. The search result is
-// identical for any worker count, so the cap is purely a speed matter.
-func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	w := runtime.GOMAXPROCS(0)
-	if n := runtime.NumCPU(); n < w {
-		w = n
-	}
-	return w
 }
 
 func (o Options) withDefaults() Options {
@@ -120,24 +103,46 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Result is the outcome of one GA run.
+// Result is the outcome of one search — the GA's, and every registered
+// searcher's (search.Result is this type).
 type Result struct {
 	// Best is the best encoded configuration found.
 	Best []float64
 	// BestFitness is its objective value.
 	BestFitness float64
-	// History records the best fitness after each generation — the
-	// convergence curves of Fig. 11.
+	// History records the best fitness after each round (a GA
+	// generation, a TPE batch) — the convergence curves of Fig. 11; nil
+	// for the single-sweep searchers.
 	History []float64
-	// Evaluations counts objective calls (memoized replays excluded).
+	// Evaluations counts the rows the objective scored (memoized replays
+	// excluded).
 	Evaluations int
-	// CacheHits counts fitness lookups served by the genome cache instead
-	// of an objective call.
+	// CacheHits counts candidates served by the genome cache, or by an
+	// earlier duplicate in the same block, instead of the objective.
 	CacheHits int
-	// Converged is the first generation (1-based) whose best fitness is
+	// Converged is the first round (1-based) whose best fitness is
 	// within 0.5% of the final best — the convergence point plotted in
-	// Fig. 11 — or 0 if the history is empty.
+	// Fig. 11 — or 0 if the history is empty (see ConvergedAt).
 	Converged int
+}
+
+// ConvergedAt returns the first round (1-based) of history whose best
+// fitness is within 0.5% of best, measured as 0.005·|best| so that
+// negative objectives converge like positive ones, plus a 1e-12 floor;
+// 0 if history is empty. It is the one Converged rule every searcher
+// with a round history reports.
+func ConvergedAt(history []float64, best float64) int {
+	limit := best * 1.005
+	if best < 0 {
+		limit = best * 0.995
+	}
+	limit += 1e-12
+	for g, v := range history {
+		if v <= limit {
+			return g + 1
+		}
+	}
+	return 0
 }
 
 // Minimize searches space for the configuration minimizing obj. init
@@ -172,81 +177,15 @@ func Minimize(space *conf.Space, obj Objective, init [][]float64, opt Options) R
 	if cache == nil {
 		cache = NewGenomeCache()
 	}
-	keyBuf := make([]byte, 0, 8*d)
-	keyOf := func(x []float64) string {
-		keyBuf = keyBuf[:0]
-		for _, v := range x {
-			keyBuf = binary.LittleEndian.AppendUint64(keyBuf, math.Float64bits(v))
-		}
-		return string(keyBuf)
-	}
 
-	// evaluate scores the population: cache lookups first, then one pass
-	// over the unique unseen genomes — batched and fanned out across
-	// workers — and finally a serial scan in population order, so the
-	// best-individual tie-breaking matches the reference implementation
-	// bit for bit regardless of worker count or cache state.
+	// evaluate scores the population through the shared evaluator, then
+	// scans it serially in population order, so the best-individual
+	// tie-breaking is the same at any worker count or cache state.
 	evaluate := func() {
-		var X [][]float64
-		var keys []string
-		var rows [][]int
-		batch := make(map[string]int, len(pop))
-		for i, x := range pop {
-			k := keyOf(x)
-			if v, ok := cache.Lookup(k); ok {
-				fit[i] = v
-				res.CacheHits++
-				continue
-			}
-			if j, ok := batch[k]; ok {
-				rows[j] = append(rows[j], i)
-				res.CacheHits++
-				continue
-			}
-			batch[k] = len(X)
-			X = append(X, x)
-			keys = append(keys, k)
-			rows = append(rows, []int{i})
-		}
-		m := len(X)
-		vals := make([]float64, m)
-		if w := min(opt.workers(), m); w <= 1 {
-			if opt.BatchObj != nil {
-				opt.BatchObj(X, vals)
-			} else {
-				for j, x := range X {
-					vals[j] = obj(x)
-				}
-			}
-		} else {
-			var wg sync.WaitGroup
-			for c := 0; c < w; c++ {
-				lo, hi := c*m/w, (c+1)*m/w
-				if lo == hi {
-					continue
-				}
-				wg.Add(1)
-				go func(lo, hi int) {
-					defer wg.Done()
-					if opt.BatchObj != nil {
-						opt.BatchObj(X[lo:hi], vals[lo:hi])
-					} else {
-						for j := lo; j < hi; j++ {
-							vals[j] = obj(X[j])
-						}
-					}
-				}(lo, hi)
-			}
-			wg.Wait()
-		}
-		res.Evaluations += m
-		evals.Add(int64(m))
-		for j, v := range vals {
-			cache.Store(keys[j], v)
-			for _, i := range rows[j] {
-				fit[i] = v
-			}
-		}
+		n, hits := Evaluate(obj, cache, opt.Workers, pop, fit)
+		res.Evaluations += n
+		res.CacheHits += hits
+		evals.Add(int64(n))
 		for i, v := range fit {
 			if v < res.BestFitness {
 				res.BestFitness = v
@@ -288,12 +227,7 @@ func Minimize(space *conf.Space, obj Objective, init [][]float64, opt Options) R
 			}
 		}
 	}
-	for g, v := range res.History {
-		if v <= res.BestFitness*1.005+1e-12 {
-			res.Converged = g + 1
-			break
-		}
-	}
+	res.Converged = ConvergedAt(res.History, res.BestFitness)
 	opt.Obs.Series("ga.best").AddRun(res.History)
 	return res
 }

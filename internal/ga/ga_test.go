@@ -10,7 +10,7 @@ import (
 )
 
 // sphere is a smooth objective whose optimum is each parameter's midpoint.
-func sphere(space *conf.Space) Objective {
+func sphere(space *conf.Space) func(x []float64) float64 {
 	return func(x []float64) float64 {
 		s := 0.0
 		for i, v := range x {
@@ -34,7 +34,7 @@ func quickOpt() Options {
 func TestMinimizeImprovesOverRandom(t *testing.T) {
 	space := conf.StandardSpace()
 	obj := sphere(space)
-	res := Minimize(space, obj, nil, quickOpt())
+	res := Minimize(space, Scalar(obj), nil, quickOpt())
 	// Compare against the best of an equal number of random samples.
 	rng := rand.New(rand.NewSource(2))
 	bestRandom := math.Inf(1)
@@ -51,7 +51,7 @@ func TestMinimizeImprovesOverRandom(t *testing.T) {
 
 func TestHistoryMonotone(t *testing.T) {
 	space := conf.StandardSpace()
-	res := Minimize(space, sphere(space), nil, quickOpt())
+	res := Minimize(space, Scalar(sphere(space)), nil, quickOpt())
 	if len(res.History) == 0 {
 		t.Fatal("no history")
 	}
@@ -68,7 +68,7 @@ func TestHistoryMonotone(t *testing.T) {
 
 func TestBestIsLegal(t *testing.T) {
 	space := conf.StandardSpace()
-	res := Minimize(space, sphere(space), nil, quickOpt())
+	res := Minimize(space, Scalar(sphere(space)), nil, quickOpt())
 	if len(res.Best) != space.Len() {
 		t.Fatalf("best vector has %d genes, want %d", len(res.Best), space.Len())
 	}
@@ -94,7 +94,7 @@ func TestSeededPopulationUsed(t *testing.T) {
 	for i := range init {
 		init[i] = optimum
 	}
-	res := Minimize(space, sphere(space), init, opt)
+	res := Minimize(space, Scalar(sphere(space)), init, opt)
 	if res.BestFitness > sphere(space)(optimum)+1e-9 {
 		t.Fatalf("seeded optimum lost: %v", res.BestFitness)
 	}
@@ -102,14 +102,14 @@ func TestSeededPopulationUsed(t *testing.T) {
 
 func TestDeterministicPerSeed(t *testing.T) {
 	space := conf.StandardSpace()
-	a := Minimize(space, sphere(space), nil, quickOpt())
-	b := Minimize(space, sphere(space), nil, quickOpt())
+	a := Minimize(space, Scalar(sphere(space)), nil, quickOpt())
+	b := Minimize(space, Scalar(sphere(space)), nil, quickOpt())
 	if a.BestFitness != b.BestFitness {
 		t.Fatal("same seed produced different results")
 	}
 	opt := quickOpt()
 	opt.Seed = 99
-	c := Minimize(space, sphere(space), nil, opt)
+	c := Minimize(space, Scalar(sphere(space)), nil, opt)
 	if a.BestFitness == c.BestFitness && a.Evaluations == c.Evaluations {
 		t.Log("different seeds landed on identical fitness (possible but unlikely)")
 	}
@@ -120,7 +120,7 @@ func TestPatienceStopsEarly(t *testing.T) {
 	opt := quickOpt()
 	opt.Generations = 200
 	opt.Patience = 3
-	res := Minimize(space, func(x []float64) float64 { return 1 }, nil, opt)
+	res := Minimize(space, Scalar(func(x []float64) float64 { return 1 }), nil, opt)
 	if len(res.History) >= 200 {
 		t.Fatalf("constant objective ran %d generations despite patience", len(res.History))
 	}
@@ -202,7 +202,7 @@ func TestBestNoWorseThanSeedsProperty(t *testing.T) {
 	f := func(int64) bool {
 		seed := space.Random(rng).Vector()
 		opt := Options{PopSize: 10, Generations: 3, Seed: rng.Int63()}
-		res := Minimize(space, obj, [][]float64{seed}, opt)
+		res := Minimize(space, Scalar(obj), [][]float64{seed}, opt)
 		return res.BestFitness <= obj(seed)+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {

@@ -1,7 +1,6 @@
 package model
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -161,49 +160,6 @@ func TestLogTargetsAndUnLog(t *testing.T) {
 	m := UnLog(constModel(1))
 	if !almostEq(m.Predict(nil), math.E) {
 		t.Fatalf("UnLog predict = %v", m.Predict(nil))
-	}
-}
-
-// meanTrainer predicts the training-set mean — enough to exercise KFold.
-type meanTrainer struct{}
-
-func (meanTrainer) Name() string { return "mean" }
-func (meanTrainer) Train(ds *Dataset) (Model, error) {
-	if ds.Len() == 0 {
-		return nil, errEmpty
-	}
-	sum := 0.0
-	for _, t := range ds.Targets {
-		sum += t
-	}
-	return constModel(sum / float64(ds.Len())), nil
-}
-
-var errEmpty = fmt.Errorf("empty dataset")
-
-func TestKFold(t *testing.T) {
-	ds := makeDS(100, 3, 7)
-	rng := rand.New(rand.NewSource(8))
-	st, err := KFold(meanTrainer{}, ds, 5, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.FoldErrs) != 5 {
-		t.Fatalf("got %d folds", len(st.FoldErrs))
-	}
-	for _, e := range st.FoldErrs {
-		if e <= 0 || math.IsNaN(e) {
-			t.Fatalf("fold error %v", e)
-		}
-	}
-	if st.Std < 0 || st.Mean <= 0 {
-		t.Fatalf("stats %+v", st)
-	}
-	if _, err := KFold(meanTrainer{}, ds, 1, rng); err == nil {
-		t.Error("k=1 should fail")
-	}
-	if _, err := KFold(meanTrainer{}, makeDS(3, 2, 1), 5, rng); err == nil {
-		t.Error("n<k should fail")
 	}
 }
 

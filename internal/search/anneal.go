@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"repro/internal/conf"
-	"repro/internal/obs"
 )
 
 // Anneal implements simulated annealing over the configuration space: a
@@ -14,13 +13,12 @@ import (
 // completes the ablation set around the paper's GA choice (§3.3): like
 // recursive random search it escapes local optima stochastically, but with
 // a tunable acceptance temperature rather than restarts.
-func Anneal(space *conf.Space, obj Objective, budget int, seed int64, reg ...*obs.Registry) Result {
-	obj = track(reg, "anneal", obj)
+func Anneal(space *conf.Space, obj Objective, budget int, seed int64) Result {
 	rng := rand.New(rand.NewSource(seed))
 	d := space.Len()
 
 	cur := space.Random(rng).Vector()
-	fCur := obj(cur)
+	fCur := evalOne(obj, cur)
 	res := Result{Best: append([]float64(nil), cur...), BestFitness: fCur, Evaluations: 1}
 
 	// Temperature starts at the scale of early objective swings and
@@ -39,7 +37,7 @@ func Anneal(space *conf.Space, obj Objective, budget int, seed int64, reg ...*ob
 			span := p.Span() * (0.05 + 0.45*temp/t0)
 			cand[j] = p.Clamp(cand[j] + (rng.Float64()*2-1)*span)
 		}
-		f := obj(cand)
+		f := evalOne(obj, cand)
 		res.Evaluations++
 		if f < res.BestFitness {
 			res.BestFitness = f

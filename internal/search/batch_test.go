@@ -32,12 +32,16 @@ func TestRandomDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestRandomCountsEvalsUnderParallelism checks the obs counter survives
-// concurrent objective calls without losing increments.
+// TestRandomCountsEvalsUnderParallelism checks the registered "random"
+// searcher counts every evaluation its parallel chunks made.
 func TestRandomCountsEvalsUnderParallelism(t *testing.T) {
 	space := conf.StandardSpace()
 	reg := obs.NewRegistry()
-	Random(space, sphere(space), 250, 3, reg)
+	s, err := Default().Lookup("random")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Search(space, sphere(space), Options{Budget: 250, Seed: 3, Obs: reg})
 	if got := reg.Counter("search.random.evaluations").Value(); got != 250 {
 		t.Fatalf("counted %d evaluations, want 250", got)
 	}

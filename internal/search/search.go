@@ -11,64 +11,39 @@ package search
 import (
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"repro/internal/conf"
-	"repro/internal/obs"
+	"repro/internal/ga"
 )
 
-// Objective maps an encoded configuration vector to the quantity being
-// minimized. Random fans evaluations out over a worker pool, so objectives
-// must be safe for concurrent calls (model predictions are); the
-// inherently sequential searchers (RecursiveRandom, Pattern, Anneal) call
-// it from a single goroutine.
-type Objective func(x []float64) float64
+// Objective scores a block of encoded configurations — ga.Objective,
+// the module's one evaluation shape. Random and the population
+// searchers fan disjoint blocks out over workers, so objectives must be
+// safe for concurrent calls (model predictions are); the inherently
+// sequential searchers (RecursiveRandom, Pattern, Anneal) score one-row
+// blocks from a single goroutine.
+type Objective = ga.Objective
 
-// Result is a searcher's outcome.
-type Result struct {
-	Best        []float64
-	BestFitness float64
-	Evaluations int
-	// History records the best fitness after each round (generation,
-	// batch) for searchers that proceed in rounds; nil for the
-	// single-sweep searchers.
-	History []float64
-	// CacheHits counts candidates a memoizing searcher replayed from
-	// Options.Cache instead of evaluating.
-	CacheHits int
-}
+// Result is a searcher's outcome — ga.Result, so every searcher reports
+// the same shape the pipeline consumes.
+type Result = ga.Result
 
-// CountEvals wraps obj so every evaluation increments the named counter
-// in reg ("search.<name>.evaluations"). With a nil registry the wrapper
-// degenerates to a nil-counter increment, so it is always safe to apply.
-func CountEvals(reg *obs.Registry, name string, obj Objective) Objective {
-	c := reg.Counter("search." + name + ".evaluations")
-	return func(x []float64) float64 {
-		c.Inc()
-		return obj(x)
-	}
-}
-
-// track instruments obj when a registry was passed through a searcher's
-// optional trailing argument.
-func track(reg []*obs.Registry, name string, obj Objective) Objective {
-	if len(reg) == 0 || reg[0] == nil {
-		return obj
-	}
-	return CountEvals(reg[0], name, obj)
+// evalOne scores a single configuration as a one-row block.
+func evalOne(obj Objective, x []float64) float64 {
+	out := []float64{0}
+	obj([][]float64{x}, out)
+	return out[0]
 }
 
 // Random evaluates budget uniformly random configurations and keeps the
-// best — the naive baseline every model-guided searcher must beat. An
-// optional registry counts its objective evaluations.
+// best — the naive baseline every model-guided searcher must beat.
 //
 // The candidate stream is drawn serially (so it depends only on seed),
-// evaluation fans out over GOMAXPROCS workers on disjoint chunks, and the
-// winner is picked by a serial first-minimum scan — the result is
-// bit-identical to the sequential loop for any scheduling.
-func Random(space *conf.Space, obj Objective, budget int, seed int64, reg ...*obs.Registry) Result {
-	obj = track(reg, "random", obj)
+// scored in one block through ga.Evaluate (duplicate draws are scored
+// once; chunks fan out over the default workers), and the winner is
+// picked by a serial first-minimum scan — the result is bit-identical
+// for any scheduling.
+func Random(space *conf.Space, obj Objective, budget int, seed int64) Result {
 	rng := rand.New(rand.NewSource(seed))
 	res := Result{BestFitness: math.Inf(1)}
 	if budget <= 0 {
@@ -79,25 +54,7 @@ func Random(space *conf.Space, obj Objective, budget int, seed int64, reg ...*ob
 		X[i] = space.Random(rng).Vector()
 	}
 	fs := make([]float64, budget)
-	if w := min(runtime.GOMAXPROCS(0), budget); w <= 1 {
-		for i, x := range X {
-			fs[i] = obj(x)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for c := 0; c < w; c++ {
-			lo, hi := c*budget/w, (c+1)*budget/w
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				for i := lo; i < hi; i++ {
-					fs[i] = obj(X[i])
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
-	}
-	res.Evaluations = budget
+	res.Evaluations, res.CacheHits = ga.Evaluate(obj, nil, 0, X, fs)
 	for i, f := range fs {
 		if f < res.BestFitness {
 			res.BestFitness = f
@@ -111,8 +68,7 @@ func Random(space *conf.Space, obj Objective, budget int, seed int64, reg ...*ob
 // then repeatedly re-sample inside a shrinking box around the incumbent,
 // restarting globally when a region is exhausted. The paper notes its
 // sensitivity to local optima — visible in the ablation bench.
-func RecursiveRandom(space *conf.Space, obj Objective, budget int, seed int64, reg ...*obs.Registry) Result {
-	obj = track(reg, "rrs", obj)
+func RecursiveRandom(space *conf.Space, obj Objective, budget int, seed int64) Result {
 	rng := rand.New(rand.NewSource(seed))
 	d := space.Len()
 	res := Result{BestFitness: math.Inf(1)}
@@ -128,7 +84,7 @@ func RecursiveRandom(space *conf.Space, obj Objective, budget int, seed int64, r
 		local := math.Inf(1)
 		for i := 0; i < exploreN && res.Evaluations < budget; i++ {
 			x := space.Random(rng).Vector()
-			f := obj(x)
+			f := evalOne(obj, x)
 			res.Evaluations++
 			if f < local {
 				local, center = f, x
@@ -151,7 +107,7 @@ func RecursiveRandom(space *conf.Space, obj Objective, budget int, seed int64, r
 				span := p.Span() * scale
 				x[j] = p.Clamp(center[j] + (rng.Float64()*2-1)*span)
 			}
-			f := obj(x)
+			f := evalOne(obj, x)
 			res.Evaluations++
 			if f < local {
 				local, center = f, x
@@ -174,12 +130,11 @@ func RecursiveRandom(space *conf.Space, obj Objective, budget int, seed int64, r
 // ± a step along each axis from the incumbent, halving the step on
 // failure. Its slow local convergence on this space is the paper's reason
 // to prefer GA.
-func Pattern(space *conf.Space, obj Objective, budget int, seed int64, reg ...*obs.Registry) Result {
-	obj = track(reg, "pattern", obj)
+func Pattern(space *conf.Space, obj Objective, budget int, seed int64) Result {
 	rng := rand.New(rand.NewSource(seed))
 	d := space.Len()
 	x := space.Random(rng).Vector()
-	fx := obj(x)
+	fx := evalOne(obj, x)
 	res := Result{Best: append([]float64(nil), x...), BestFitness: fx, Evaluations: 1}
 
 	scale := 0.25
@@ -197,7 +152,7 @@ func Pattern(space *conf.Space, obj Objective, budget int, seed int64, reg ...*o
 				if cand[j] == x[j] {
 					continue
 				}
-				f := obj(cand)
+				f := evalOne(obj, cand)
 				res.Evaluations++
 				if f < fx {
 					x, fx = cand, f

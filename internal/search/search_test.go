@@ -5,10 +5,16 @@ import (
 	"testing"
 
 	"repro/internal/conf"
+	"repro/internal/ga"
 )
 
 // sphere has its optimum at each parameter's midpoint.
 func sphere(space *conf.Space) Objective {
+	return ga.Scalar(sphereAt(space))
+}
+
+// sphereAt is sphere's per-row form.
+func sphereAt(space *conf.Space) func(x []float64) float64 {
 	return func(x []float64) float64 {
 		s := 0.0
 		for i, v := range x {

@@ -9,18 +9,11 @@ import (
 	"repro/internal/obs"
 )
 
-// BatchObjective scores a whole block of configurations in one call —
-// the same contract as ga.BatchObjective (model-backed objectives
-// implement it with tree-at-a-time batch prediction). The alias keeps
-// the two packages' batch fast lanes interchangeable without conversion.
-type BatchObjective = ga.BatchObjective
-
 // Options carries the budget and wiring a Searcher.Search call receives.
 // Every field beyond Budget and Seed is optional: searchers that cannot
-// use a batch objective, init seeds, or a shared cache simply ignore
-// them — the contract is that the result depends only on (space,
-// objective values, Budget, Seed, Init), never on Workers, BatchObj, or
-// cache state.
+// use init seeds, worker fan-out, or a shared cache simply ignore them —
+// the contract is that the result depends only on (space, objective
+// values, Budget, Seed, Init), never on Workers or cache state.
 type Options struct {
 	// Budget bounds the search's candidate considerations: how many
 	// configurations the searcher may score. Population searchers that
@@ -36,13 +29,9 @@ type Options struct {
 	// clamped to the space; searchers without a seeding notion ignore
 	// them.
 	Init [][]float64
-	// BatchObj, when non-nil, scores whole candidate blocks in one call
-	// and must agree with the per-row objective bit for bit (the
-	// model.BatchPredictor contract). Searchers that evaluate candidates
-	// one at a time ignore it.
-	BatchObj BatchObjective
-	// Workers bounds concurrent objective evaluation (0 = GOMAXPROCS).
-	// The result is identical for any value.
+	// Workers bounds concurrent objective evaluation (0 = ga.Evaluate's
+	// default, min(GOMAXPROCS, NumCPU)). The result is identical for any
+	// value.
 	Workers int
 	// Cache, when non-nil, shares memoized fitness values between
 	// searches of the identical objective (the daemon's idempotent
@@ -130,11 +119,13 @@ func Default() *Registry {
 
 // funcSearcher adapts the package's free searcher functions to the
 // Searcher interface. The free functions take their whole budget as
-// objective evaluations and ignore Init/BatchObj/Cache (Random
-// parallelizes internally; the others are inherently sequential).
+// objective evaluations and ignore Init/Workers/Cache (Random
+// parallelizes internally; the others are inherently sequential). Like
+// GASearcher and TPE, it counts the run's Result.Evaluations under
+// "search.<name>.evaluations".
 type funcSearcher struct {
 	name string
-	fn   func(space *conf.Space, obj Objective, budget int, seed int64, reg ...*obs.Registry) Result
+	fn   func(space *conf.Space, obj Objective, budget int, seed int64) Result
 }
 
 func (f funcSearcher) Name() string { return f.name }
@@ -142,13 +133,15 @@ func (f funcSearcher) Name() string { return f.name }
 func (f funcSearcher) Search(space *conf.Space, obj Objective, opt Options) Result {
 	sp := opt.Obs.StartSpan("search." + f.name)
 	defer sp.End()
-	return f.fn(space, obj, opt.Budget, opt.Seed, opt.Obs)
+	res := f.fn(space, obj, opt.Budget, opt.Seed)
+	opt.Obs.Counter("search." + f.name + ".evaluations").Add(int64(res.Evaluations))
+	return res
 }
 
 // GASearcher wraps ga.Minimize as a registered Searcher. Opt carries the
 // GA hyperparameters (zero value = the paper's 100×100 setup); the
-// per-call Options override its Seed, seeding, batch objective, workers,
-// cache, and registry, and Options.Budget derives Generations as
+// per-call Options override its Seed, seeding, workers, cache, and
+// registry, and Options.Budget derives Generations as
 // Budget/PopSize − 1 when Generations is unset — the initial population
 // plus each generation scores PopSize candidates, so a GA at PopSize p
 // over g generations considers exactly p×(g+1) candidates. GABudget is
@@ -185,9 +178,6 @@ func (g GASearcher) Search(space *conf.Space, obj Objective, opt Options) Result
 	if gaOpt.Workers == 0 {
 		gaOpt.Workers = opt.Workers
 	}
-	if gaOpt.BatchObj == nil {
-		gaOpt.BatchObj = opt.BatchObj
-	}
 	if gaOpt.Cache == nil {
 		gaOpt.Cache = opt.Cache
 	}
@@ -205,13 +195,7 @@ func (g GASearcher) Search(space *conf.Space, obj Objective, opt Options) Result
 		}
 		gaOpt.Generations = gens
 	}
-	res := ga.Minimize(space, ga.Objective(obj), opt.Init, gaOpt)
+	res := ga.Minimize(space, obj, opt.Init, gaOpt)
 	opt.Obs.Counter("search.ga.evaluations").Add(int64(res.Evaluations))
-	return Result{
-		Best:        res.Best,
-		BestFitness: res.BestFitness,
-		History:     res.History,
-		Evaluations: res.Evaluations,
-		CacheHits:   res.CacheHits,
-	}
+	return res
 }

@@ -68,6 +68,23 @@ func TestAllRegisteredSearchersReturnLegalVectors(t *testing.T) {
 	}
 }
 
+// TestRegisteredSearchersCountEvaluations checks every registered
+// searcher reports its run under "search.<name>.evaluations", equal to
+// the Result's Evaluations.
+func TestRegisteredSearchersCountEvaluations(t *testing.T) {
+	space := conf.StandardSpace()
+	r := Default()
+	for _, name := range r.Names() {
+		s, _ := r.Lookup(name)
+		reg := obs.NewRegistry()
+		res := s.Search(space, sphere(space), Options{Budget: 120, Seed: 5, Obs: reg})
+		got := reg.Counter("search." + name + ".evaluations").Value()
+		if got != int64(res.Evaluations) || got == 0 {
+			t.Errorf("%s: counter %d, Result.Evaluations %d", name, got, res.Evaluations)
+		}
+	}
+}
+
 // TestRegistryDeterministicAcrossGOMAXPROCS pins the Searcher contract:
 // every registered searcher must return a bit-identical Result whether
 // the process runs on one CPU or many.
@@ -97,7 +114,7 @@ func TestGASearcherMatchesMinimize(t *testing.T) {
 	obj := sphere(space)
 
 	gaOpt := ga.Options{PopSize: 30, Generations: 6, Seed: 4}
-	direct := ga.Minimize(space, ga.Objective(obj), nil, gaOpt)
+	direct := ga.Minimize(space, obj, nil, gaOpt)
 	viaReg := GASearcher{Opt: ga.Options{PopSize: 30}}.Search(space, obj, Options{
 		Budget: GABudget(gaOpt), // 30×7 = 210 → derives Generations = 6
 		Seed:   4,
@@ -189,8 +206,8 @@ func TestTPEUsesInitSeeds(t *testing.T) {
 		mids[i] = p.Clamp((p.Min + p.Max) / 2)
 	}
 	res := (&TPE{}).Search(space, obj, Options{Budget: 60, Seed: 9, Init: [][]float64{mids}})
-	if res.BestFitness > obj(mids)+1e-12 {
-		t.Errorf("best %.6f worse than the seeded vector's %.6f", res.BestFitness, obj(mids))
+	if at := sphereAt(space)(mids); res.BestFitness > at+1e-12 {
+		t.Errorf("best %.6f worse than the seeded vector's %.6f", res.BestFitness, at)
 	}
 }
 

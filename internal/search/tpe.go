@@ -1,12 +1,9 @@
 package search
 
 import (
-	"encoding/binary"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/conf"
 	"repro/internal/ga"
@@ -36,11 +33,10 @@ import (
 //
 // Rounds draw Candidates configurations from l, rank them by
 // Σ log l − log g, and evaluate the top BatchSize through the shared
-// batch-evaluation fast lane (ga.BatchObjective / worker chunks /
-// ga.GenomeCache). All randomness is drawn serially from one seeded
-// source and evaluation merges are order-deterministic, so results are
-// bit-identical at any GOMAXPROCS or worker count. The zero value is
-// ready to use.
+// memoized evaluator (ga.Evaluate over ga.GenomeCache). All randomness
+// is drawn serially from one seeded source and evaluation merges are
+// order-deterministic, so results are bit-identical at any GOMAXPROCS or
+// worker count. The zero value is ready to use.
 type TPE struct {
 	// Gamma is the quantile split: the best ⌈γ·n⌉ observations form the
 	// "good" density l(x). 0 selects the default 0.25.
@@ -113,87 +109,20 @@ func (t *TPE) Search(space *conf.Space, obj Objective, opt Options) Result {
 	if cache == nil {
 		cache = ga.NewGenomeCache()
 	}
-	keyBuf := make([]byte, 0, 8*d)
-	keyOf := func(x []float64) string {
-		keyBuf = keyBuf[:0]
-		for _, v := range x {
-			keyBuf = binary.LittleEndian.AppendUint64(keyBuf, math.Float64bits(v))
-		}
-		return string(keyBuf)
-	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = min(runtime.GOMAXPROCS(0), runtime.NumCPU())
-	}
 
 	// The observation history the densities are fit to.
 	xs := make([][]float64, 0, opt.Budget)
 	ys := make([]float64, 0, opt.Budget)
 
-	// evalBatch scores a block of candidates the way ga.Minimize's
-	// evaluator does: cache lookups first, then one pass over the unique
-	// unseen configurations fanned out across workers, then a serial
-	// merge in candidate order — so the best-so-far tie-breaking is
-	// identical at any worker count or cache state.
+	// evalBatch scores a block of candidates through the shared
+	// evaluator, then appends them to the history in candidate order —
+	// so the best-so-far tie-breaking is identical at any worker count
+	// or cache state.
 	evalBatch := func(X [][]float64) {
 		fitX := make([]float64, len(X))
-		var uniq [][]float64
-		var keys []string
-		var rows [][]int
-		seen := make(map[string]int, len(X))
-		for i, x := range X {
-			k := keyOf(x)
-			if v, ok := cache.Lookup(k); ok {
-				fitX[i] = v
-				continue
-			}
-			if j, ok := seen[k]; ok {
-				rows[j] = append(rows[j], i)
-				continue
-			}
-			seen[k] = len(uniq)
-			uniq = append(uniq, x)
-			keys = append(keys, k)
-			rows = append(rows, []int{i})
-		}
-		m := len(uniq)
-		vals := make([]float64, m)
-		if w := min(workers, m); w <= 1 {
-			if opt.BatchObj != nil {
-				opt.BatchObj(uniq, vals)
-			} else {
-				for j, x := range uniq {
-					vals[j] = obj(x)
-				}
-			}
-		} else {
-			var wg sync.WaitGroup
-			for c := 0; c < w; c++ {
-				lo, hi := c*m/w, (c+1)*m/w
-				if lo == hi {
-					continue
-				}
-				wg.Add(1)
-				go func(lo, hi int) {
-					defer wg.Done()
-					if opt.BatchObj != nil {
-						opt.BatchObj(uniq[lo:hi], vals[lo:hi])
-					} else {
-						for j := lo; j < hi; j++ {
-							vals[j] = obj(uniq[j])
-						}
-					}
-				}(lo, hi)
-			}
-			wg.Wait()
-		}
-		res.Evaluations += m
-		for j, v := range vals {
-			cache.Store(keys[j], v)
-			for _, i := range rows[j] {
-				fitX[i] = v
-			}
-		}
+		n, hits := ga.Evaluate(obj, cache, opt.Workers, X, fitX)
+		res.Evaluations += n
+		res.CacheHits += hits
 		for i, v := range fitX {
 			xs = append(xs, X[i])
 			ys = append(ys, v)
@@ -306,6 +235,7 @@ func (t *TPE) Search(space *conf.Space, obj Objective, opt Options) Result {
 		spent += take
 		res.History = append(res.History, res.BestFitness)
 	}
+	res.Converged = ga.ConvergedAt(res.History, res.BestFitness)
 	return res
 }
 

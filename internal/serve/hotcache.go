@@ -20,10 +20,10 @@ import (
 // writer, and never observing a torn model (entries are immutable after
 // construction; only the state pointer is swapped).
 //
-// Each pinned entry carries its own prediction memo (sharded like
-// ga.GenomeCache, keyed on the request vector's exact feature bits via
-// model.VectorKey) and its own coalescer (coalesce.go), so the memo and
-// the batches can never mix rows from different model versions.
+// Each pinned entry carries its own prediction memo (a ga.GenomeCache,
+// keyed on the request vector's exact feature bits via ga.Key) and its
+// own coalescer (coalesce.go), so the memo and the batches can never mix
+// rows from different model versions.
 
 // ServingOptions tune the hot serving path. The zero value selects the
 // defaults.
@@ -109,7 +109,7 @@ func (h *hotModel) Meta() ModelMeta { return h.meta }
 // through model.PredictBatch, whose contract is bit-identity with
 // per-row Predict.
 func (h *hotModel) Predict(x []float64) float64 {
-	key := model.VectorKey(x)
+	key := ga.Key(x)
 	if v, ok := h.memo.Lookup(key); ok {
 		h.cache.memoHits.Inc()
 		return v

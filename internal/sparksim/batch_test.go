@@ -23,10 +23,10 @@ func randomPairs(n int, seed int64) []RunSpec {
 }
 
 // TestRunBatchMatchesRun pins the batching contract: every result of a
-// RunBatch call — full breakdown, not just TotalSec — must be bit-identical
-// to the corresponding Run call, for any way of slicing the pairs into
-// batches and at any GOMAXPROCS. A violation means scratch reuse leaked
-// state between runs.
+// RunBatchInto call into fresh storage — full breakdown, not just
+// TotalSec — must be bit-identical to the corresponding Run call, for any
+// way of slicing the pairs into batches and at any GOMAXPROCS. A
+// violation means scratch reuse leaked state between runs.
 func TestRunBatchMatchesRun(t *testing.T) {
 	sim := newTestSim()
 	p := testProgram()
@@ -44,10 +44,11 @@ func TestRunBatchMatchesRun(t *testing.T) {
 				if hi > n {
 					hi = n
 				}
-				for i, r := range sim.RunBatch(p, pairs[lo:hi]) {
-					if !reflect.DeepEqual(r, want[lo+i]) {
+				got := sim.RunBatchInto(p, pairs[lo:hi], nil)
+				for i := range got {
+					if r := &got[i]; !reflect.DeepEqual(r, want[lo+i]) {
 						runtime.GOMAXPROCS(prev)
-						t.Fatalf("procs=%d batch=%d pair %d: RunBatch diverged from Run\nbatch:  %+v\nserial: %+v",
+						t.Fatalf("procs=%d batch=%d pair %d: RunBatchInto diverged from Run\nbatch:  %+v\nserial: %+v",
 							procs, bs, lo+i, r, want[lo+i])
 					}
 				}
@@ -57,9 +58,10 @@ func TestRunBatchMatchesRun(t *testing.T) {
 	}
 }
 
-// TestRunBatchConcurrentCallers checks that concurrent RunBatch calls on
-// one simulator stay independent: each batch owns its scratch, so parallel
-// callers must reproduce the serial reference exactly.
+// TestRunBatchConcurrentCallers checks that concurrent RunBatchInto calls
+// on one simulator, each into its own storage, stay independent: each
+// batch owns its scratch, so parallel callers must reproduce the serial
+// reference exactly.
 func TestRunBatchConcurrentCallers(t *testing.T) {
 	sim := newTestSim()
 	p := testProgram()
@@ -70,36 +72,45 @@ func TestRunBatchConcurrentCallers(t *testing.T) {
 		want[i] = sim.Run(p, pr.InputMB, pr.Cfg)
 	}
 	const callers = 4
-	got := make([][]*Result, callers)
+	got := make([][]Result, callers)
 	var wg sync.WaitGroup
 	for c := 0; c < callers; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			got[c] = sim.RunBatch(p, pairs)
+			got[c] = sim.RunBatchInto(p, pairs, nil)
 		}(c)
 	}
 	wg.Wait()
 	for c := 0; c < callers; c++ {
 		for i := range want {
-			if !reflect.DeepEqual(got[c][i], want[i]) {
-				t.Fatalf("caller %d pair %d: concurrent RunBatch diverged from Run", c, i)
+			if !reflect.DeepEqual(&got[c][i], want[i]) {
+				t.Fatalf("caller %d pair %d: concurrent RunBatchInto diverged from Run", c, i)
 			}
 		}
 	}
 }
 
+// runEach is the serial reference of a batch: one Run per pair.
+func runEach(sim *Simulator, p *Program, pairs []RunSpec) []*Result {
+	out := make([]*Result, len(pairs))
+	for i, pr := range pairs {
+		out[i] = sim.Run(p, pr.InputMB, pr.Cfg)
+	}
+	return out
+}
+
 // TestRunBatchIntoMatchesRunBatch pins the storage-reuse contract: a
-// RunBatchInto call must produce, per pair, exactly the Result RunBatch
-// produces — including when the destination slice is recycled across
-// batches of different programs and sizes, which exercises the
-// stale-field and Stages-reuse reset paths.
+// RunBatchInto call must produce, per pair, exactly the Result of a
+// batch of single Run calls — including when the destination slice is
+// recycled across batches of different programs and sizes, which
+// exercises the stale-field and Stages-reuse reset paths.
 func TestRunBatchIntoMatchesRunBatch(t *testing.T) {
 	sim := newTestSim()
 	p := testProgram()
 	const n = 48
 	pairs := randomPairs(n, 83)
-	want := sim.RunBatch(p, pairs)
+	want := runEach(sim, p, pairs)
 
 	// Fresh storage.
 	got := sim.RunBatchInto(p, pairs, nil)
@@ -108,7 +119,7 @@ func TestRunBatchIntoMatchesRunBatch(t *testing.T) {
 	}
 	for i := range want {
 		if !reflect.DeepEqual(&got[i], want[i]) {
-			t.Fatalf("pair %d: RunBatchInto diverged from RunBatch\ninto:  %+v\nbatch: %+v",
+			t.Fatalf("pair %d: RunBatchInto diverged from Run\ninto:  %+v\nrun:   %+v",
 				i, &got[i], want[i])
 		}
 	}
@@ -124,7 +135,7 @@ func TestRunBatchIntoMatchesRunBatch(t *testing.T) {
 		},
 	}
 	got = sim.RunBatchInto(skewed, pairs[:n/2], got)
-	for i, r := range sim.RunBatch(skewed, pairs[:n/2]) {
+	for i, r := range runEach(sim, skewed, pairs[:n/2]) {
 		if !reflect.DeepEqual(&got[i], r) {
 			t.Fatalf("skewed pair %d: recycled RunBatchInto diverged", i)
 		}
@@ -132,7 +143,7 @@ func TestRunBatchIntoMatchesRunBatch(t *testing.T) {
 	got = sim.RunBatchInto(p, pairs, got)
 	for i := range want {
 		if !reflect.DeepEqual(&got[i], want[i]) {
-			t.Fatalf("pair %d: RunBatchInto over recycled storage diverged from RunBatch", i)
+			t.Fatalf("pair %d: RunBatchInto over recycled storage diverged from Run", i)
 		}
 	}
 }

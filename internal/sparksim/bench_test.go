@@ -40,7 +40,8 @@ func BenchmarkRunRandomConfigs(b *testing.B) {
 
 // BenchmarkCollectBatch compares the collecting hot loop's two shapes
 // over one chunk of (configuration, size) pairs: per-run Run calls versus
-// a single RunBatch reusing the scratch across the chunk.
+// a single RunBatchInto reusing the scratch across the chunk and the
+// Result storage across iterations, as SimExecutor does.
 func BenchmarkCollectBatch(b *testing.B) {
 	sim := New(cluster.Standard(), 1)
 	p := testProgram()
@@ -55,8 +56,9 @@ func BenchmarkCollectBatch(b *testing.B) {
 	})
 	b.Run("batch", func(b *testing.B) {
 		b.ReportAllocs()
+		var out []Result
 		for i := 0; i < b.N; i++ {
-			sim.RunBatch(p, pairs)
+			out = sim.RunBatchInto(p, pairs, out)
 		}
 	})
 }

@@ -33,7 +33,7 @@ func New(cl cluster.Cluster, seed int64) *Simulator {
 	return &Simulator{Cluster: cl, Seed: seed}
 }
 
-// RunSpec is one (configuration, input size) pair of a RunBatch call.
+// RunSpec is one (configuration, input size) pair of a RunBatchInto call.
 type RunSpec struct {
 	Cfg     conf.Config
 	InputMB float64
@@ -97,39 +97,25 @@ func (sim *Simulator) Run(p *Program, inputMB float64, cfg conf.Config) *Result 
 	if err := p.Validate(); err != nil {
 		panic(err) // programs are compile-time constants in this module
 	}
-	return sim.runOne(p, inputMB, cfg, newRunScratch(), fnvString(p.Name))
+	res := new(Result)
+	sim.runOneInto(res, p, inputMB, cfg, newRunScratch(), fnvString(p.Name))
+	return res
 }
 
-// RunBatch simulates one execution per (cfg, input) pair and returns the
-// results in pair order. Every run is bit-identical to the corresponding
-// Run call — the per-run RNG seed derivation is unchanged, and each run
-// re-derives its environment from its own configuration — but the program
-// is validated once and the scratch buffers (task durations, slot heap,
-// median copy, environment struct, RNG state) are reused across the batch
-// instead of reallocated per run. Like Run, RunBatch is safe to call from
-// several goroutines at once; a single batch runs its pairs sequentially,
-// so callers parallelize by splitting work into several batches.
-func (sim *Simulator) RunBatch(p *Program, pairs []RunSpec) []*Result {
-	if err := p.Validate(); err != nil {
-		panic(err) // programs are compile-time constants in this module
-	}
-	sc := newRunScratch()
-	nameHash := fnvString(p.Name)
-	out := make([]*Result, len(pairs))
-	for i, pr := range pairs {
-		out[i] = sim.runOne(p, pr.InputMB, pr.Cfg, sc, nameHash)
-	}
-	return out
-}
-
-// RunBatchInto is RunBatch writing into caller-owned Result storage: out
-// is grown to len(pairs) results and returned, and each element's Stages
-// slice is reused when its capacity allows, so a caller that keeps the
-// returned slice across batches (the collecting sweep) pays no per-run
-// Result allocation after the first batch. Every field of every reused
-// element is reinitialized before use, so results are bit-identical to
-// RunBatch's for the same pairs. Distinct out slices may be used from
-// several goroutines at once.
+// RunBatchInto simulates one execution per (cfg, input) pair into
+// caller-owned Result storage, in pair order: out is grown to
+// len(pairs) results and returned, and each element's Stages slice is
+// reused when its capacity allows, so a caller that keeps the returned
+// slice across batches (the collecting sweep) pays no per-run Result
+// allocation after the first batch. Every run is bit-identical to the
+// corresponding Run call — the per-run RNG seed derivation is
+// unchanged, each run re-derives its environment from its own
+// configuration, and every field of a reused element is reinitialized —
+// but the program is validated once and the scratch buffers (task
+// durations, slot heap, median copy, environment struct, RNG state) are
+// reused across the batch. A single batch runs its pairs sequentially;
+// distinct out slices may be used from several goroutines at once, so
+// callers parallelize by splitting work into several batches.
 func (sim *Simulator) RunBatchInto(p *Program, pairs []RunSpec, out []Result) []Result {
 	if err := p.Validate(); err != nil {
 		panic(err) // programs are compile-time constants in this module
@@ -146,14 +132,6 @@ func (sim *Simulator) RunBatchInto(p *Program, pairs []RunSpec, out []Result) []
 		sim.runOneInto(&out[i], p, pr.InputMB, pr.Cfg, sc, nameHash)
 	}
 	return out
-}
-
-// runOne executes one simulated run against a caller-owned scratch.
-// nameHash is fnvString(p.Name), computed once per batch.
-func (sim *Simulator) runOne(p *Program, inputMB float64, cfg conf.Config, sc *runScratch, nameHash uint64) *Result {
-	res := new(Result)
-	sim.runOneInto(res, p, inputMB, cfg, sc, nameHash)
-	return res
 }
 
 // runOneInto executes one simulated run, overwriting every field of the

@@ -8,7 +8,9 @@ import (
 )
 
 // TestPredictBatchMatchesPredict pins the batch path's contract: for any
-// grown tree, PredictBatch must agree bit-for-bit with per-row Predict.
+// grown tree, batch prediction — AccumulateBatch at scale 1 over a
+// zeroed out, the first tree of every forest and boosting sum — must
+// agree bit-for-bit with per-row Predict.
 func TestPredictBatchMatchesPredict(t *testing.T) {
 	X, y := synth(600, 21)
 	b := NewBuilder(X)
@@ -21,10 +23,10 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	} {
 		tr := b.Grow(y, allIdx(600), opt, rng)
 		out := make([]float64, len(X))
-		tr.PredictBatch(X, out)
+		tr.AccumulateBatch(X, 1, out)
 		for i, row := range X {
 			if got := tr.Predict(row); got != out[i] {
-				t.Fatalf("opt %+v row %d: Predict=%v PredictBatch=%v", opt, i, got, out[i])
+				t.Fatalf("opt %+v row %d: Predict=%v AccumulateBatch=%v", opt, i, got, out[i])
 			}
 		}
 	}

@@ -87,7 +87,8 @@ func BenchmarkPredict(b *testing.B) {
 }
 
 // BenchmarkPredictBatch compares per-row prediction against the
-// tree-at-a-time batch path over a GA-population-sized block of rows.
+// tree-at-a-time batch path (AccumulateBatch, the walk forests and
+// boosting run) over a GA-population-sized block of rows.
 func BenchmarkPredictBatch(b *testing.B) {
 	X, y := benchData(2000, 42)
 	builder := NewBuilder(X)
@@ -103,7 +104,7 @@ func BenchmarkPredictBatch(b *testing.B) {
 	})
 	b.Run("batch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			tr.PredictBatch(rows, out)
+			tr.AccumulateBatch(rows, 1, out)
 		}
 	})
 }

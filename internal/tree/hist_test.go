@@ -170,8 +170,8 @@ func TestFastGrownPersistRoundTrip(t *testing.T) {
 		}
 		want := make([]float64, len(probes))
 		got := make([]float64, len(probes))
-		orig.PredictBatch(probes, want)
-		back.PredictBatch(probes, got)
+		orig.AccumulateBatch(probes, 1, want)
+		back.AccumulateBatch(probes, 1, got)
 		for i := range want {
 			if want[i] != got[i] {
 				t.Fatalf("opt %+v probe %d: %v != %v after round-trip", opt, i, want[i], got[i])

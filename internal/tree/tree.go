@@ -7,8 +7,8 @@
 // thousands of small trees a boosted model needs stays cheap: a Builder
 // bins the design matrix once, and each Grow call only accumulates bin
 // statistics for its sample. Grown trees store their nodes in a flat
-// structure-of-arrays layout so batch prediction (PredictBatch,
-// AccumulateBatch) streams rows over a tree whose node arrays stay hot
+// structure-of-arrays layout so batch prediction (AccumulateBatch,
+// AccumulateBinned) streams rows over a tree whose node arrays stay hot
 // in cache — the tree-at-a-time evaluation order the GA and boosting hot
 // paths depend on.
 package tree
@@ -92,30 +92,6 @@ func (t *Tree) Predict(x []float64) float64 {
 			i = t.left[i]
 		} else {
 			i = t.right[i]
-		}
-	}
-}
-
-// PredictBatch writes the prediction for every row of X into out
-// (len(out) must be at least len(X)). One tree's node arrays are streamed
-// over all rows before the caller moves to the next tree, so an ensemble
-// evaluates each small tree from cache instead of re-walking a cold tree
-// per row. Results are bit-identical to calling Predict per row.
-func (t *Tree) PredictBatch(X [][]float64, out []float64) {
-	feature, thresh, left, right := t.feature, t.thresh, t.left, t.right
-	for r, x := range X {
-		i := int32(0)
-		for {
-			f := feature[i]
-			if f < 0 {
-				out[r] = thresh[i]
-				break
-			}
-			if x[f] <= thresh[i] {
-				i = left[i]
-			} else {
-				i = right[i]
-			}
 		}
 	}
 }
