@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/conf"
+	"repro/internal/ga"
 	"repro/internal/model"
 )
 
@@ -51,29 +53,82 @@ func BenchmarkHMFit(b *testing.B) {
 	}
 }
 
-// BenchmarkPredictBatch compares per-row model queries against the
-// tree-at-a-time batch path over one GA population (100 individuals) —
-// the searching component's unit of work.
-func BenchmarkPredictBatch(b *testing.B) {
-	ds := synthDS(1000, 2)
-	m, err := Train(ds, Options{Trees: 600, LearningRate: 0.05, TreeComplexity: 5, Seed: 1})
+// gaBlocks trains a paper-budget model on n random configurations of the
+// 41-parameter Spark space plus a dsize column, then runs a short GA
+// search against it — seeded, as core's search is, with training
+// configurations — and records every block the search asks the model to
+// score. Converging populations make those blocks far more alike than
+// random rows, which is what a walk's branch predictor feeds on.
+func gaBlocks(b *testing.B, n int) (*Model, [][]float64, [][][]float64) {
+	space := conf.StandardSpace()
+	rng := rand.New(rand.NewSource(7))
+	ds := model.NewDataset(nil)
+	var seeds [][]float64
+	for i := 0; i < n; i++ {
+		cfg := space.Random(rng).Vector()
+		dsize := 100 + rng.Float64()*900
+		u := func(j int) float64 { p := space.Param(j); return (cfg[j] - p.Min) / p.Span() }
+		t := dsize * (1 + 2*u(0) + u(1)*u(2) + 0.5*u(7))
+		if u(3) < 0.2 {
+			t *= 3 // a cliff, like an OOM boundary
+		}
+		ds.Add(append(cfg, dsize), t*(1+0.05*rng.NormFloat64()))
+		if len(seeds) < 100 {
+			seeds = append(seeds, cfg)
+		}
+	}
+	// Noise keeps the paper's 0.90 target out of reach, so boosting runs
+	// to convergence and the model is paper-sized (thousands of trees).
+	m, err := Train(ds, Options{Trees: 3600, LearningRate: 0.05, TreeComplexity: 5, TargetAccuracy: 0.99, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	rows := ds.Features[:100]
-	out := make([]float64, len(rows))
-	b.Run("perrow", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for r, x := range rows {
-				out[r] = m.Predict(x)
-			}
+	var blocks [][][]float64
+	obj := func(X [][]float64, out []float64) {
+		rows := make([][]float64, len(X))
+		for i, x := range X {
+			rows[i] = append(append([]float64(nil), x...), 500)
 		}
-	})
-	b.Run("batch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m.PredictBatch(rows, out)
+		blocks = append(blocks, rows)
+		m.PredictBatch(rows, out)
+	}
+	ga.Minimize(space, obj, seeds, ga.Options{Generations: 40, Workers: 1, Seed: 3})
+	return m, ds.Features[:100], blocks
+}
+
+// BenchmarkPredictBatch scores GA-population-sized blocks through the
+// compiled kernel (PredictBatch) and through the pointer walk it
+// replaced, kept as the test oracle: "random" is 100 random training
+// rows, "ga-block" every block a short GA search against the same
+// paper-budget model asked it to score.
+func BenchmarkPredictBatch(b *testing.B) {
+	m, random, blocks := gaBlocks(b, 2000)
+	rows := 0
+	for _, blk := range blocks {
+		rows += len(blk)
+	}
+	b.Logf("model: %d trees; ga-block: %d blocks, %d rows", m.NumTrees(), len(blocks), rows)
+	out := make([]float64, 100)
+	for _, arm := range []struct {
+		name   string
+		blocks [][][]float64
+	}{{"random", [][][]float64{random}}, {"ga-block", blocks}} {
+		for _, scorer := range []struct {
+			name  string
+			score func(X [][]float64, out []float64)
+		}{
+			{"walk", func(X [][]float64, out []float64) { walkPredictBatch(m, X, out) }},
+			{"kernel", m.PredictBatch},
+		} {
+			b.Run(arm.name+"/"+scorer.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for _, blk := range arm.blocks {
+						scorer.score(blk, out)
+					}
+				}
+			})
 		}
-	})
+	}
 }
 
 // BenchmarkTrainPaperScale measures fitting one HM model with the paper's

@@ -16,9 +16,9 @@
 // is derived from (Seed, order) alone, so candidate orders fit
 // concurrently under Workers > 1 while producing exactly the model a
 // serial run would; the boosting inner loop updates train/validation
-// predictions tree-at-a-time over pre-binned rows (tree.AccumulateBinned)
-// instead of row-at-a-time, and split finding fans out across features
-// inside internal/tree.
+// predictions tree-at-a-time through the compiled kernel (compiled.go)
+// over rows encoded once against the builder's bin edges, and split
+// finding fans out across features inside internal/tree.
 package hm
 
 import (
@@ -41,7 +41,9 @@ type Options struct {
 	Trees int
 	// LearningRate is lr, the shrinkage per sub-model.
 	LearningRate float64
-	// TreeComplexity is tc, split nodes per tree.
+	// TreeComplexity is tc, split nodes per tree: 1 to 5 (the compiled
+	// kernel holds five condition slots per tree); larger values are
+	// rejected.
 	TreeComplexity int
 	// MinLeaf is the minimum samples per leaf.
 	MinLeaf int
@@ -98,6 +100,14 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// check rejects options the compiled kernel cannot score.
+func (o Options) check() error {
+	if o.TreeComplexity > maxSplits {
+		return fmt.Errorf("hm: tree complexity %d, want 1..%d", o.TreeComplexity, maxSplits)
+	}
+	return nil
+}
+
 // workers resolves the effective training parallelism. The default is
 // capped at NumCPU as well as GOMAXPROCS: CPU-bound fits and split
 // scans gain nothing from more goroutines than physical CPUs (a common
@@ -122,25 +132,6 @@ type firstOrder struct {
 	trees []*tree.Tree
 }
 
-func (f *firstOrder) predict(x []float64) float64 {
-	v := f.base
-	for _, t := range f.trees {
-		v += f.lr * t.Predict(x)
-	}
-	return v
-}
-
-// predictBatch writes the fit-space prediction for every row of X into
-// out, accumulating tree-at-a-time. Bit-identical to predict per row.
-func (f *firstOrder) predictBatch(X [][]float64, out []float64) {
-	for i := range out {
-		out[i] = f.base
-	}
-	for _, t := range f.trees {
-		t.AccumulateBatch(X, f.lr, out)
-	}
-}
-
 // Model is a trained HM model: a coefficient blend of first-order models
 // (a single first-order model has one coefficient of 1). It implements
 // model.Model, predicting execution time in seconds.
@@ -149,12 +140,14 @@ type Model struct {
 	coefs []float64
 	log   bool
 	// edges, when non-nil, are the training Builder's per-feature
-	// histogram bin edges. Together with the trees' bin codes they keep
-	// the binned training path available after Save/Load: Resume encodes
-	// new rows against them (tree.BinWithEdges) instead of requiring the
-	// original Builder. Nil for models loaded from legacy (v1) snapshots
-	// and for models whose binned form was invalidated (see Resume).
+	// histogram bin edges, which the trees' bin codes index. Save
+	// persists them (snapshot v2); scoring never reads them. Nil for
+	// models loaded from legacy (v1) snapshots and for models whose
+	// trees no longer share one edge set (see Resume).
 	edges [][]float64
+	// ens is the compiled form every prediction runs through, rebuilt
+	// at the end of Train, Resume and Load so it is never stale.
+	ens ensemble
 	// Order is the hierarchical order reached (1 = first-order).
 	Order int
 	// ValErr is the mean Eq. 2 validation error at the end of training.
@@ -163,36 +156,34 @@ type Model struct {
 
 // Predict returns the predicted execution time in seconds.
 func (m *Model) Predict(x []float64) float64 {
-	v := 0.0
-	for i, s := range m.subs {
-		v += m.coefs[i] * s.predict(x)
-	}
-	if m.log {
-		return math.Exp(v)
-	}
-	return v
+	var out [1]float64
+	m.PredictBatch([][]float64{x}, out[:])
+	return out[0]
 }
 
 // PredictBatch writes the predicted execution time for every row of X
-// into out (len(out) must be at least len(X)). Each small boosted tree is
-// evaluated over the whole batch before moving on, keeping its node
-// arrays in cache — the layout the GA's population evaluation depends on.
-// Results are bit-identical to calling Predict per row, and the method is
-// safe for concurrent use (the model is read-only).
+// into out (len(out) must be at least len(X)). The block is encoded once
+// into the model's code space and every compiled tree scores all of it
+// before the next (compiled.go), so the call allocates a fixed number of
+// buffers and nothing per row. Results are bit-identical to calling
+// Predict per row, and the method is safe for concurrent use (the model
+// is read-only).
 func (m *Model) PredictBatch(X [][]float64, out []float64) {
+	b := m.ens.space.encode(X)
 	tmp := make([]float64, len(X))
-	for i := range X {
+	out = out[:len(X)]
+	for i := range out {
 		out[i] = 0
 	}
-	for j, s := range m.subs {
-		s.predictBatch(X, tmp)
+	for j := range m.ens.subs {
+		m.ens.predictSub(&b, j, tmp)
 		c := m.coefs[j]
-		for i := range X {
+		for i := range out {
 			out[i] += c * tmp[i]
 		}
 	}
 	if m.log {
-		for i := range X {
+		for i := range out {
 			out[i] = math.Exp(out[i])
 		}
 	}
@@ -210,6 +201,9 @@ func (m *Model) NumTrees() int {
 // Train fits an HM model to ds following Algorithm 1.
 func Train(ds *model.Dataset, opt Options) (*Model, error) {
 	opt = opt.withDefaults()
+	if err := opt.check(); err != nil {
+		return nil, err
+	}
 	if err := ds.Validate(); err != nil {
 		return nil, fmt.Errorf("hm: %w", err)
 	}
@@ -253,8 +247,8 @@ func Train(ds *model.Dataset, opt Options) (*Model, error) {
 		}
 	}
 
-	// The builder's bin edges travel with the model (and its snapshot)
-	// so training can resume — binned — after Save/Load.
+	// The builder's bin edges travel with the model into its snapshot,
+	// which keeps the v2 format every earlier reader understands.
 	m := &Model{log: !opt.NoLogTarget, Order: 1, edges: tr.builder.Edges()}
 	// Algorithm 1 main loop: build first-order models until the target
 	// accuracy is met or the order budget is exhausted.
@@ -266,9 +260,11 @@ func Train(ds *model.Dataset, opt Options) (*Model, error) {
 			fo = tr.firstOrderProcedure(rand.New(rand.NewSource(orderSeeds[order-1])), nil)
 		}
 		m.subs = append(m.subs, fo)
-		m.coefs = tr.fitCoefs(m.subs)
+		if err := tr.blend(m); err != nil {
+			abort.Store(true)
+			return nil, err
+		}
 		m.Order = order
-		m.ValErr = tr.valError(m.subs, m.coefs)
 		if 1-m.ValErr >= opt.TargetAccuracy || order >= opt.MaxOrder {
 			abort.Store(true)
 			opt.Obs.Counter("hm.fits").Inc()
@@ -289,11 +285,12 @@ type trainer struct {
 	train   *model.Dataset
 	val     *model.Dataset
 	yFit    []float64 // training targets in fit space (log or raw)
-	// trainBM/valBM are the train and validation rows pre-encoded into
-	// the builder's bins, so every boosting round updates predictions by
-	// walking the fresh tree over cached byte columns.
-	trainBM *tree.BinMatrix
-	valBM   *tree.BinMatrix
+	// space is the builder's bin edges as a code space, and trainB/valB
+	// the train and validation rows encoded into it once, so every
+	// boosting round scores its fresh tree through the compiled kernel.
+	space  codeSpace
+	trainB block
+	valB   block
 }
 
 func newTrainer(trainDS, valDS *model.Dataset, opt Options) *trainer {
@@ -303,8 +300,9 @@ func newTrainer(trainDS, valDS *model.Dataset, opt Options) *trainer {
 		train:   trainDS, val: valDS,
 		yFit: make([]float64, trainDS.Len()),
 	}
-	t.trainBM = t.builder.Binned()
-	t.valBM = t.builder.Bin(valDS.Features)
+	t.space = edgeSpace(t.builder.Edges())
+	t.trainB = t.space.encode(trainDS.Features)
+	t.valB = t.space.encode(valDS.Features)
 	t.builder.Instrument(opt.Obs)
 	for i, v := range trainDS.Targets {
 		if opt.NoLogTarget {
@@ -369,8 +367,7 @@ func (t *trainer) boost(fo *firstOrder, pred, valPred []float64, budget int, rng
 		tr := t.builder.Grow(resid, idx, gOpt, rng)
 		fo.trees = append(fo.trees, tr)
 		grown++
-		tr.AccumulateBinned(t.trainBM, fo.lr, pred)
-		tr.AccumulateBinned(t.valBM, fo.lr, valPred)
+		t.update(tr, fo.lr, pred, valPred)
 		if (k+1)%checkEvery == 0 {
 			e := t.relErr(valPred)
 			if e < bestErr-1e-5 {
@@ -386,6 +383,20 @@ func (t *trainer) boost(fo *firstOrder, pred, valPred []float64, budget int, rng
 	}
 	t.opt.Obs.Counter("hm.boost.rounds").Add(int64(grown))
 	return grown
+}
+
+// update adds lr × the freshly grown tree tr to the train and validation
+// predictions — one boosting round's update, through the compiled kernel
+// over the rows encoded against the builder's edges.
+func (t *trainer) update(tr *tree.Tree, lr float64, pred, valPred []float64) {
+	c, err := t.space.compileTree(tr)
+	if err != nil {
+		// Options.check caps MaxSplits at maxSplits before any growth.
+		panic(err)
+	}
+	one := []ctree{c}
+	accumulate(one, &t.trainB, lr, pred)
+	accumulate(one, &t.valB, lr, valPred)
 }
 
 // relErr computes the mean Eq. 2 error of fit-space predictions against
@@ -404,21 +415,42 @@ func (t *trainer) relErr(valPred []float64) float64 {
 	return sum / float64(len(valPred))
 }
 
-// fitCoefs solves the least-squares blend of the sub-models on the
-// validation split (in fit space). With one sub-model it returns {1}.
-func (t *trainer) fitCoefs(subs []*firstOrder) []float64 {
-	k := len(subs)
+// blend recompiles m and refits its coefficients and ValErr on the
+// validation split (in fit space): the least-squares blend of the
+// sub-models' predictions, {1} for a single sub-model.
+func (t *trainer) blend(m *Model) error {
+	ens, err := compile(m.subs)
+	if err != nil {
+		return err
+	}
+	m.ens = ens
+	b := ens.space.encode(t.val.Features)
+	preds := make([][]float64, len(m.subs))
+	for j := range preds {
+		preds[j] = make([]float64, b.n)
+		ens.predictSub(&b, j, preds[j])
+	}
+	m.coefs = t.fitCoefs(preds)
+	acc := make([]float64, b.n)
+	for j, p := range preds {
+		for i := range acc {
+			acc[i] += m.coefs[j] * p[i]
+		}
+	}
+	m.ValErr = t.relErr(acc)
+	return nil
+}
+
+// fitCoefs solves the least-squares blend of the sub-models' validation
+// predictions preds[j][i]. With one sub-model it returns {1}.
+func (t *trainer) fitCoefs(preds [][]float64) []float64 {
+	k := len(preds)
 	if k == 1 {
 		return []float64{1}
 	}
 	// Normal equations A a = b over validation predictions.
 	A := make([][]float64, k)
 	b := make([]float64, k)
-	preds := make([][]float64, k)
-	for j, s := range subs {
-		preds[j] = make([]float64, t.val.Len())
-		s.predictBatch(t.val.Features, preds[j])
-	}
 	yv := make([]float64, t.val.Len())
 	for i, v := range t.val.Targets {
 		if t.opt.NoLogTarget {
@@ -448,29 +480,6 @@ func (t *trainer) fitCoefs(subs []*firstOrder) []float64 {
 		}
 	}
 	return coefs
-}
-
-// valError evaluates the blended model on the validation split.
-func (t *trainer) valError(subs []*firstOrder, coefs []float64) float64 {
-	if t.val.Len() == 0 {
-		return 0
-	}
-	acc := make([]float64, t.val.Len())
-	tmp := make([]float64, t.val.Len())
-	for j, s := range subs {
-		s.predictBatch(t.val.Features, tmp)
-		for i := range acc {
-			acc[i] += coefs[j] * tmp[i]
-		}
-	}
-	sum := 0.0
-	for i, p := range acc {
-		if !t.opt.NoLogTarget {
-			p = math.Exp(p)
-		}
-		sum += model.RelErr(p, t.val.Targets[i])
-	}
-	return sum / float64(len(t.val.Targets))
 }
 
 // solve performs Gaussian elimination with partial pivoting on the small

@@ -66,6 +66,30 @@ func TestTrainRejectsBadInput(t *testing.T) {
 	if _, err := Train(ds, quickOpt()); err == nil {
 		t.Error("negative target should fail")
 	}
+	// The compiled kernel holds five condition slots per tree, so tree
+	// complexity above 5 is rejected by every entry point that grows trees.
+	good := synthDS(200, 5)
+	tc6 := quickOpt()
+	tc6.TreeComplexity = 6
+	if _, err := Train(good, tc6); err == nil {
+		t.Error("tree complexity 6 should fail Train")
+	}
+	if _, err := Trajectory(good, tc6, []int{10}); err == nil {
+		t.Error("tree complexity 6 should fail Trajectory")
+	}
+	if _, err := (Backend{}).Train(good, model.TrainOpts{TreeComplexity: 6}); err == nil {
+		t.Error("tree complexity 6 should fail through the backend")
+	}
+	m, err := Train(good, Options{Trees: 20, LearningRate: 0.1, TreeComplexity: 5, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Resume(m, good, tc6, 10); err == nil {
+		t.Error("tree complexity 6 should fail Resume")
+	}
+	if err := (Backend{}).Resume(m, good, model.TrainOpts{TreeComplexity: 6}, 10); err == nil {
+		t.Error("tree complexity 6 should fail Resume through the backend")
+	}
 }
 
 func TestTrainDeterministicPerSeed(t *testing.T) {

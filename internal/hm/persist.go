@@ -16,11 +16,13 @@ import (
 // snapshot is the serialized form of a Model.
 //
 // Version 2 added BinEdges and HasBins — the training Builder's histogram
-// edges plus a flag that the trees' per-split bin codes are valid — so a
-// reloaded model can continue binned training (Resume) instead of
-// panicking in AccumulateBinned. The schema stays backward compatible:
-// gob decodes a version-1 stream into the same struct with the new fields
-// zero, and Load then simply rebuilds the model without codes.
+// edges plus a flag that the trees' per-split bin codes are valid. Scoring
+// and Resume need neither (the compiled form derives its code space from
+// the trees' own thresholds); they are still written so the format stays
+// the one every earlier reader understands. The schema stays backward
+// compatible: gob decodes a version-1 stream into the same struct with
+// the new fields zero, and Load then simply rebuilds the model without
+// codes.
 type snapshot struct {
 	Version int
 	Log     bool
@@ -84,12 +86,13 @@ func (m *Model) hasBinCodes() bool {
 }
 
 // Load reads a model previously written by Save, accepting any schema
-// version up to the current one. Version-2 snapshots restore the bin
-// edges and codes, so the loaded model supports binned training
-// continuation (Resume) exactly like the never-persisted model; version-1
-// snapshots reload without codes and Resume falls back to the
-// (bit-identical) float evaluation path. Feature-importance metadata is
-// not persisted; everything needed for prediction is.
+// version up to the current one, and compiles it. Version-2 snapshots
+// restore the bin edges and codes; version-1 snapshots reload without
+// them, and both predict and resume identically. A snapshot the compiled
+// kernel cannot score — a tree with more than five splits, a feature with
+// 32,768 or more distinct thresholds, a split on a feature index of 2^16
+// or more — is rejected with an error. Feature-importance metadata is not
+// persisted; everything needed for prediction is.
 func Load(r io.Reader) (*Model, error) {
 	var s snapshot
 	if err := gob.NewDecoder(r).Decode(&s); err != nil {
@@ -123,5 +126,10 @@ func Load(r io.Reader) (*Model, error) {
 		}
 		m.subs = append(m.subs, fo)
 	}
+	ens, err := compile(m.subs)
+	if err != nil {
+		return nil, err
+	}
+	m.ens = ens
 	return m, nil
 }

@@ -3,6 +3,7 @@ package hm
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -45,7 +46,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 // leaves and bin codes against the stored edges — not the split search
 // that grew them, so a snapshot of a default-trained model stands in
 // for it. It must load with bit-identical predictions, and the loaded
-// model must resume by replaying its stored codes on the binned path.
+// model must resume by replaying every stored tree of its last sub-model.
 func TestLegacySnapshotLoadsBitIdentically(t *testing.T) {
 	ds := synthDS(500, 43)
 	m, err := Train(ds, Options{Trees: 120, LearningRate: 0.1, TreeComplexity: 5, Seed: 7})
@@ -75,7 +76,7 @@ func TestLegacySnapshotLoadsBitIdentically(t *testing.T) {
 		t.Fatalf("resume grew no trees: %d -> %d", m.NumTrees(), back.NumTrees())
 	}
 	if got := reg.Counter("hm.resume.binned.trees").Value(); got != int64(len(m.subs[len(m.subs)-1].trees)) {
-		t.Fatalf("resume replayed %d trees from stored codes, want %d", got, len(m.subs[len(m.subs)-1].trees))
+		t.Fatalf("resume replayed %d stored trees, want %d", got, len(m.subs[len(m.subs)-1].trees))
 	}
 }
 
@@ -96,5 +97,43 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Load(&buf); err == nil {
 		t.Error("snapshot with a cyclic tree should fail to load")
+	}
+}
+
+// TestLoadRejectsUnscorableSnapshots pins Load's bounds: a snapshot the
+// compiled kernel cannot score fails with an error instead of panicking
+// or allocating without bound.
+func TestLoadRejectsUnscorableSnapshots(t *testing.T) {
+	// spread holds n distinct thresholds on feature 0, five per tree.
+	spread := func(n int) [][]tree.FlatNode {
+		var trees [][]tree.FlatNode
+		for k := 0; k < n; k += 5 {
+			var ts []float64
+			for j := k; j < min(k+5, n); j++ {
+				ts = append(ts, float64(j))
+			}
+			trees = append(trees, chainTree(0, ts))
+		}
+		return trees
+	}
+	for _, c := range []struct {
+		name  string
+		trees [][]tree.FlatNode
+	}{
+		{"six splits", [][]tree.FlatNode{chainTree(0, []float64{1, 2, 3, 4, 5, 6})}},
+		{"32768 thresholds", spread(maxThresholds + 1)},
+		{"feature 2^31-1", [][]tree.FlatNode{chainTree(math.MaxInt32, []float64{1})}},
+		{"feature 2^16", [][]tree.FlatNode{chainTree(maxFeatures, []float64{1})}},
+	} {
+		if _, err := Load(bytes.NewReader(encodeSnapshot(t, c.trees...))); err == nil {
+			t.Errorf("%s: Load accepted a snapshot the kernel cannot score", c.name)
+		}
+	}
+	// One threshold fewer, and a feature just below the bound, still load.
+	if _, err := Load(bytes.NewReader(encodeSnapshot(t, spread(maxThresholds)...))); err != nil {
+		t.Errorf("32767 thresholds: %v", err)
+	}
+	if _, err := Load(bytes.NewReader(encodeSnapshot(t, chainTree(maxFeatures-1, []float64{1})))); err != nil {
+		t.Errorf("feature 2^16-1: %v", err)
 	}
 }

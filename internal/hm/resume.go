@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/model"
-	"repro/internal/tree"
 )
 
 // Resume continues the boosting trajectory of m's last first-order
@@ -22,20 +21,22 @@ import (
 // warm-start keeps the hierarchy growing instead of only stretching the
 // last sub-model. The train/validation split and all randomness derive
 // from opt.Seed, so Resume is deterministic — and it is bit-identical
-// whether m was just trained or went through Save/Load first. A model
-// with its binned form
-// intact (trained in-process, or reloaded from a version-2 snapshot that
-// persisted the builder's bin edges and the trees' bin codes) replays its
-// existing trees over freshly encoded rows with tree.AccumulateBinned;
-// models from legacy (v1) snapshots, or whose edges no longer match the
-// data, replay through the float walk — equivalent by AccumulateBinned's
-// bit-identity contract, just slower.
+// whether m was just trained or went through Save/Load first. The
+// sub-model's existing trees replay over the new rows through the model's
+// compiled form, whose code space is the trees' own thresholds, so one
+// replay path serves in-process models and v1 and v2 snapshots alike.
+// If the grown model cannot be compiled (a feature past maxThresholds
+// distinct thresholds after many resumes on new data), Resume returns the
+// error and leaves m as it was.
 //
 // The fit space (log or raw target) is the model's own; opt.NoLogTarget
 // is overridden to match so a resumed log-space model is never fed raw
 // residuals.
 func Resume(m *Model, ds *model.Dataset, opt Options, extra int) error {
 	opt = opt.withDefaults()
+	if err := opt.check(); err != nil {
+		return err
+	}
 	if len(m.subs) == 0 {
 		return fmt.Errorf("hm: resume on a model with no sub-models")
 	}
@@ -54,37 +55,29 @@ func Resume(m *Model, ds *model.Dataset, opt Options, extra int) error {
 	trainDS, valDS := ds.Split(1-opt.ValFrac, rng)
 	tr := newTrainer(trainDS, valDS, opt)
 
-	fo := m.subs[len(m.subs)-1]
-	pred := make([]float64, trainDS.Len())
-	for i := range pred {
-		pred[i] = fo.base
-	}
-	valPred := make([]float64, valDS.Len())
-	for i := range valPred {
-		valPred[i] = fo.base
-	}
 	// Replay the sub-model's existing trees to recover the predictions
-	// its last boosting round left off at, preferring the binned path
-	// when the model still knows the edges its codes refer to.
-	d := len(trainDS.Features[0])
-	if len(m.edges) == d && m.hasBinCodes() {
-		trainOld := tree.BinWithEdges(m.edges, trainDS.Features)
-		valOld := tree.BinWithEdges(m.edges, valDS.Features)
-		for _, t := range fo.trees {
-			t.AccumulateBinned(trainOld, fo.lr, pred)
-			t.AccumulateBinned(valOld, fo.lr, valPred)
-		}
-		opt.Obs.Counter("hm.resume.binned.trees").Add(int64(len(fo.trees)))
-	} else {
-		for _, t := range fo.trees {
-			t.AccumulateBatch(trainDS.Features, fo.lr, pred)
-			t.AccumulateBatch(valDS.Features, fo.lr, valPred)
-		}
-	}
+	// its last boosting round left off at.
+	last := len(m.subs) - 1
+	fo := m.subs[last]
+	pred := make([]float64, trainDS.Len())
+	valPred := make([]float64, valDS.Len())
+	trainB := m.ens.space.encode(trainDS.Features)
+	m.ens.predictSub(&trainB, last, pred)
+	valB := m.ens.space.encode(valDS.Features)
+	m.ens.predictSub(&valB, last, valPred)
+	// The counter keeps the name of the binned replay it once counted.
+	opt.Obs.Counter("hm.resume.binned.trees").Add(int64(len(fo.trees)))
 
+	saved, nTrees := *m, len(fo.trees)
+	restore := func(err error) error {
+		fo.trees = fo.trees[:nTrees]
+		*m = saved
+		return err
+	}
 	tr.boost(fo, pred, valPred, extra, rand.New(rand.NewSource(rng.Int63())), nil)
-	m.coefs = tr.fitCoefs(m.subs)
-	m.ValErr = tr.valError(m.subs, m.coefs)
+	if err := tr.blend(m); err != nil {
+		return restore(err)
+	}
 
 	// Algorithm 1's outer loop, resumed: while the blend still misses the
 	// target and the order budget allows, grow another converged
@@ -95,19 +88,19 @@ func Resume(m *Model, ds *model.Dataset, opt Options, extra int) error {
 	for 1-m.ValErr < opt.TargetAccuracy && len(m.subs) < opt.MaxOrder {
 		sub := tr.firstOrderProcedure(rand.New(rand.NewSource(rng.Int63())), nil)
 		m.subs = append(m.subs, sub)
-		m.coefs = tr.fitCoefs(m.subs)
-		m.ValErr = tr.valError(m.subs, m.coefs)
+		if err := tr.blend(m); err != nil {
+			return restore(err)
+		}
 		appended++
 	}
 	m.Order = len(m.subs)
 
 	// The new trees' bin codes refer to the resume builder's edges. If
 	// those differ from the edges the old trees were coded against, no
-	// single edge set describes the whole model any more: drop the binned
-	// form (a later Save then persists without codes, and a later Resume
-	// replays through the float path). Resuming over the same dataset and
-	// split — the common trajectory-continuation case — rebins
-	// identically, so the binned form survives.
+	// single edge set describes the whole model any more: drop the edges,
+	// so a later Save persists without codes. Resuming over the same
+	// dataset and split — the common trajectory-continuation case —
+	// rebins identically, so the edges survive.
 	if m.edges != nil {
 		if newEdges := tr.builder.Edges(); edgesEqual(m.edges, newEdges) {
 			m.edges = newEdges

@@ -3,17 +3,20 @@ package hm
 import (
 	"bytes"
 	"encoding/gob"
+	"math/rand"
+	"strings"
 	"testing"
 
+	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/tree"
 )
 
-// TestResumeAfterSaveLoadBitIdentical pins the persistence side of binned
+// TestResumeAfterSaveLoadBitIdentical pins the persistence side of
 // training continuation: Train → Save → Load → Resume must leave the exact
 // model that Train → Resume leaves, with the reloaded model replaying its
-// trees through the binned fast path (version-2 snapshots carry the edges
-// and codes).
+// trees through the compiled kernel (hm.resume.binned.trees counts every
+// replayed tree).
 func TestResumeAfterSaveLoadBitIdentical(t *testing.T) {
 	ds := synthDS(600, 91)
 	opt := Options{Trees: 120, LearningRate: 0.1, TreeComplexity: 5, Seed: 7}
@@ -40,7 +43,7 @@ func TestResumeAfterSaveLoadBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if reg.Counter("hm.resume.binned.trees").Value() == 0 {
-		t.Error("reloaded v2 model did not replay through the binned path")
+		t.Error("reloaded v2 model replayed no trees")
 	}
 	if fresh.NumTrees() != loaded.NumTrees() {
 		t.Fatalf("tree counts diverged: %d vs %d", fresh.NumTrees(), loaded.NumTrees())
@@ -57,9 +60,8 @@ func TestResumeAfterSaveLoadBitIdentical(t *testing.T) {
 }
 
 // TestResumeLegacyV1Snapshot pins backward compatibility: a version-1
-// stream (no bin edges, no codes) must load, and
-// Resume must continue it through the float replay path to the same model
-// the binned path produces.
+// stream (no bin edges, no codes) must load, and Resume must continue it
+// to the same model the never-persisted one reaches.
 func TestResumeLegacyV1Snapshot(t *testing.T) {
 	ds := synthDS(600, 93)
 	opt := Options{Trees: 100, LearningRate: 0.1, TreeComplexity: 5, Seed: 11}
@@ -83,7 +85,7 @@ func TestResumeLegacyV1Snapshot(t *testing.T) {
 	probe := synthDS(120, 94)
 	for i, x := range probe.Features {
 		if a, b := m.Predict(x), legacy.Predict(x); a != b {
-			t.Fatalf("probe %d: binned resume %v != legacy float resume %v", i, a, b)
+			t.Fatalf("probe %d: in-process resume %v != legacy resume %v", i, a, b)
 		}
 	}
 }
@@ -106,43 +108,6 @@ func encodeV1(t testing.TB, m *Model) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-// TestResumeBinnedMatchesFloatReplay pins the replay paths against each
-// other on one model: clearing the edges — as Resume does when new data
-// rebins differently — forces the float walk even though every tree
-// still carries bin codes, and must leave a model bit-identical to the
-// binned replay. (TestResumeLegacyV1Snapshot covers trees without codes.)
-func TestResumeBinnedMatchesFloatReplay(t *testing.T) {
-	ds := synthDS(500, 95)
-	opt := Options{Trees: 80, LearningRate: 0.1, TreeComplexity: 5, Seed: 13}
-	a, err := Train(ds, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Train(ds, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.edges = nil
-	reg := obs.NewRegistry()
-	optF := opt
-	optF.Obs = reg
-	if err := Resume(a, ds, opt, 25); err != nil {
-		t.Fatal(err)
-	}
-	if err := Resume(b, ds, optF, 25); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter("hm.resume.binned.trees").Value(); got != 0 {
-		t.Fatalf("edge-less model replayed %d trees on the binned path", got)
-	}
-	probe := synthDS(100, 96)
-	for i, x := range probe.Features {
-		if pa, pb := a.Predict(x), b.Predict(x); pa != pb {
-			t.Fatalf("probe %d: binned %v != float %v", i, pa, pb)
-		}
-	}
 }
 
 // TestResumeAppendsSubModels pins the hierarchical continuation: when the
@@ -278,5 +243,46 @@ func TestLoadRejectsFutureVersion(t *testing.T) {
 	}
 	if _, err := Load(&buf); err == nil {
 		t.Fatal("snapshot from a future schema version should be rejected")
+	}
+}
+
+// TestResumeLeavesModelOnCompileError pins Resume's failure contract:
+// when the grown model cannot be compiled — here a feature already at
+// maxThresholds distinct thresholds gains new ones — Resume returns an
+// error and the model predicts exactly as before.
+func TestResumeLeavesModelOnCompileError(t *testing.T) {
+	var trees [][]tree.FlatNode
+	for k := 0; k < maxThresholds; k += 5 {
+		var ts []float64
+		for j := k; j < min(k+5, maxThresholds); j++ {
+			ts = append(ts, float64(j))
+		}
+		trees = append(trees, chainTree(0, ts))
+	}
+	m, err := Load(bytes.NewReader(encodeSnapshot(t, trees...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := model.NewDataset(nil)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 300; i++ {
+		x := rng.Float64() * 10
+		ds.Add([]float64{x}, 1+x*x)
+	}
+	probes := [][]float64{{0.5}, {3.25}, {9.75}, {40000}}
+	before := make([]float64, len(probes))
+	m.PredictBatch(probes, before)
+	nTrees := m.NumTrees()
+	err = Resume(m, ds, Options{Trees: 50, LearningRate: 0.1, Seed: 1}, 20)
+	if err == nil || !strings.Contains(err.Error(), "distinct split thresholds") {
+		t.Fatalf("resume past maxThresholds distinct thresholds: err %v", err)
+	}
+	if m.NumTrees() != nTrees {
+		t.Fatalf("failed resume left %d trees, want %d", m.NumTrees(), nTrees)
+	}
+	for i, x := range probes {
+		if got := m.Predict(x); got != before[i] || got != walkPredict(m, x) {
+			t.Fatalf("probe %v: %v after the failed resume, %v before", x, got, before[i])
+		}
 	}
 }

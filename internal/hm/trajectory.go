@@ -25,6 +25,9 @@ func Trajectory(ds *model.Dataset, opt Options, checkpoints []int) ([]float64, e
 		return nil, fmt.Errorf("hm: checkpoint %d < 1", sorted[0])
 	}
 	opt.Trees = sorted[len(sorted)-1]
+	if err := opt.check(); err != nil {
+		return nil, err
+	}
 
 	if err := ds.Validate(); err != nil {
 		return nil, fmt.Errorf("hm: %w", err)
@@ -58,8 +61,7 @@ func Trajectory(ds *model.Dataset, opt Options, checkpoints []int) ([]float64, e
 		}
 		idx := model.Bootstrap(n, rng)
 		tr := t.builder.Grow(resid, idx, gOpt, rng)
-		tr.AccumulateBinned(t.trainBM, opt.LearningRate, pred)
-		tr.AccumulateBinned(t.valBM, opt.LearningRate, valPred)
+		t.update(tr, opt.LearningRate, pred, valPred)
 		for next < len(sorted) && sorted[next] == k {
 			errAt[k] = t.relErr(valPred)
 			next++

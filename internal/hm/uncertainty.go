@@ -16,10 +16,15 @@ func (m *Model) PredictWithUncertainty(x []float64) (pred, std float64) {
 	if len(m.subs) == 0 {
 		return 0, 0
 	}
+	b := m.ens.space.encode([][]float64{x})
+	vs := make([]float64, len(m.subs))
+	for j := range vs {
+		m.ens.predictSub(&b, j, vs[j:j+1])
+	}
 	// Mean in fit space, matching Predict.
 	mean := 0.0
-	for i, s := range m.subs {
-		mean += m.coefs[i] * s.predict(x)
+	for i, v := range vs {
+		mean += m.coefs[i] * v
 	}
 	if len(m.subs) == 1 {
 		if m.log {
@@ -31,8 +36,7 @@ func (m *Model) PredictWithUncertainty(x []float64) (pred, std float64) {
 	// own mean: the coefficients absorb scale, so raw predictions are
 	// compared directly.
 	sum, sumSq := 0.0, 0.0
-	for _, s := range m.subs {
-		v := s.predict(x)
+	for _, v := range vs {
 		sum += v
 		sumSq += v * v
 	}

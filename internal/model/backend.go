@@ -36,7 +36,9 @@ type TrainOpts struct {
 	Trees int
 	// LearningRate overrides hm's shrinkage.
 	LearningRate float64
-	// TreeComplexity overrides hm's splits per tree.
+	// TreeComplexity overrides hm's splits per tree: 1 to 5, and hm
+	// rejects larger values (its compiled kernel holds five splits per
+	// tree).
 	TreeComplexity int
 	// Epochs overrides the pass budget of iterative backends (ann, svm).
 	Epochs int

@@ -56,9 +56,9 @@ func TestAccumulateBatchMatchesLoop(t *testing.T) {
 	}
 }
 
-// TestAccumulateBinnedMatchesBatch pins the binned fast path's contract:
-// evaluating a grown tree over pre-binned rows — the builder's own matrix
-// or external rows encoded with Builder.Bin — must agree bit-for-bit with
+// TestAccumulateBinnedMatchesBatch pins the bin codes a grown tree
+// carries: walking them over binned rows — the builder's own matrix or
+// external rows encoded with Builder.Bin — must agree bit-for-bit with
 // the float-walk update.
 func TestAccumulateBinnedMatchesBatch(t *testing.T) {
 	X, y := synth(500, 61)

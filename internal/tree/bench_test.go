@@ -1,8 +1,12 @@
 package tree
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/conf"
+	"repro/internal/ga"
 )
 
 func benchData(n, d int) ([][]float64, []float64) {
@@ -86,27 +90,63 @@ func BenchmarkPredict(b *testing.B) {
 	}
 }
 
+// gaBlocks runs a short GA search over a space of d Float parameters in
+// [0, 100] — benchData's feature range — minimizing tr, and records
+// every block the search asks it to score. Converging populations make
+// those blocks far more alike than random rows.
+func gaBlocks(b *testing.B, tr *Tree, d int) [][][]float64 {
+	params := make([]conf.Param, d)
+	for j := range params {
+		params[j] = conf.Param{Name: fmt.Sprintf("x%d", j), Kind: conf.Float, Max: 100}
+	}
+	space, err := conf.NewSpace(params)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var blocks [][][]float64
+	obj := func(X [][]float64, out []float64) {
+		rows := make([][]float64, len(X))
+		for i, x := range X {
+			rows[i] = append([]float64(nil), x...)
+			out[i] = 0
+		}
+		blocks = append(blocks, rows)
+		tr.AccumulateBatch(rows, 1, out)
+	}
+	ga.Minimize(space, obj, nil, ga.Options{Generations: 40, Workers: 1, Seed: 3})
+	return blocks
+}
+
 // BenchmarkPredictBatch compares per-row prediction against the
-// tree-at-a-time batch path (AccumulateBatch, the walk forests and
-// boosting run) over a GA-population-sized block of rows.
+// tree-at-a-time batch path (AccumulateBatch, the walk random forests
+// run) over 100 random rows ("random") and over every block a short GA
+// search asked the tree to score ("ga-block").
 func BenchmarkPredictBatch(b *testing.B) {
 	X, y := benchData(2000, 42)
 	builder := NewBuilder(X)
 	tr := builder.Grow(y, allIdx(2000), Options{MaxSplits: 5}, nil)
-	rows := X[:100]
-	out := make([]float64, len(rows))
-	b.Run("perrow", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for r, x := range rows {
-				out[r] = tr.Predict(x)
+	out := make([]float64, 100)
+	for _, arm := range []struct {
+		name   string
+		blocks [][][]float64
+	}{{"random", [][][]float64{X[:100]}}, {"ga-block", gaBlocks(b, tr, 42)}} {
+		b.Run(arm.name+"/perrow", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, rows := range arm.blocks {
+					for r, x := range rows {
+						out[r] = tr.Predict(x)
+					}
+				}
 			}
-		}
-	})
-	b.Run("batch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tr.AccumulateBatch(rows, 1, out)
-		}
-	})
+		})
+		b.Run(arm.name+"/batch", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, rows := range arm.blocks {
+					tr.AccumulateBatch(rows, 1, out)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkGrowParallel measures the parallel split scan against the

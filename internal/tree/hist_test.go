@@ -149,8 +149,8 @@ func TestHistCounters(t *testing.T) {
 
 // TestFastGrownPersistRoundTrip is the S4 coverage: trees grown by the
 // fast path — subtract and sampled modes — must survive
-// Flatten/FromFlatWithCodes with bit-identical predictions and a working
-// binned evaluation path against re-encoded edges.
+// Flatten/FromFlatWithCodes with bit-identical predictions and codes
+// that still walk to the same leaves against re-encoded edges.
 func TestFastGrownPersistRoundTrip(t *testing.T) {
 	X, y := histDataset(700, 14, 51)
 	b := NewBuilder(X)

@@ -25,28 +25,27 @@ type FlatNode struct {
 // Flatten returns the tree's nodes in storage order, including the
 // per-split bin codes when the tree carries them.
 func (t *Tree) Flatten() []FlatNode {
-	hasBins := len(t.bins) == len(t.feature)
 	out := make([]FlatNode, len(t.feature))
-	for i := range t.feature {
-		if t.feature[i] < 0 {
-			out[i] = FlatNode{Value: t.thresh[i], Leaf: true}
-		} else {
-			out[i] = FlatNode{
-				Feature:   t.feature[i],
-				Threshold: t.thresh[i],
-				Left:      t.left[i],
-				Right:     t.right[i],
-			}
-			if hasBins {
-				out[i].Bin = t.bins[i]
-			}
-		}
+	for i := range out {
+		out[i] = t.Node(i)
 	}
 	return out
 }
 
-// FromFlat rebuilds a tree from its flattened form, discarding bin codes:
-// the rebuilt tree predicts over float rows but cannot AccumulateBinned.
+// Node returns node i (0 is the root) in its flattened form, without
+// copying the rest of the tree.
+func (t *Tree) Node(i int) FlatNode {
+	if t.feature[i] < 0 {
+		return FlatNode{Value: t.thresh[i], Leaf: true}
+	}
+	n := FlatNode{Feature: t.feature[i], Threshold: t.thresh[i], Left: t.left[i], Right: t.right[i]}
+	if len(t.bins) == len(t.feature) {
+		n.Bin = t.bins[i]
+	}
+	return n
+}
+
+// FromFlat rebuilds a tree from its flattened form, discarding bin codes.
 // Every split's children must sit at higher indices than the split
 // itself, as Flatten emits them, so any walk from the root ends at a
 // leaf.
@@ -89,12 +88,12 @@ func FromFlat(nodes []FlatNode) (*Tree, error) {
 	return t, nil
 }
 
-// FromFlatWithCodes rebuilds a tree including its per-split bin codes, so
-// the reloaded tree still supports AccumulateBinned over rows encoded
-// against the edges its builder used (persisted alongside the trees by
-// internal/hm's snapshot, and applied to new rows via BinWithEdges). Use
-// only when the enclosing snapshot recorded that codes are valid: older
-// snapshots decode every Bin field as zero, which FromFlat safely drops.
+// FromFlatWithCodes rebuilds a tree including its per-split bin codes,
+// which index the edges its builder used (persisted alongside the trees
+// by internal/hm's snapshot), so a saved code set survives a reload and a
+// re-save. Use only when the enclosing snapshot recorded that codes are
+// valid: older snapshots decode every Bin field as zero, which FromFlat
+// safely drops.
 func FromFlatWithCodes(nodes []FlatNode) (*Tree, error) {
 	t, err := FromFlat(nodes)
 	if err != nil {

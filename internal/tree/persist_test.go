@@ -6,11 +6,10 @@ import (
 	"testing"
 )
 
-// TestFromFlatWithCodesKeepsBinnedPath pins the persistence contract that
-// makes binned training continuation possible: a tree rebuilt from its
-// flattened form with codes, evaluated over rows encoded against the
-// original builder's edges, must agree bit-for-bit with the original
-// tree's float walk.
+// TestFromFlatWithCodesKeepsBinnedPath pins the persisted bin codes: a
+// tree rebuilt from its flattened form with codes, walked on codes over
+// rows encoded against the original builder's edges, must agree
+// bit-for-bit with the original tree's float walk.
 func TestFromFlatWithCodesKeepsBinnedPath(t *testing.T) {
 	X, y := synth(500, 71)
 	probe, _ := synth(150, 72)
@@ -46,7 +45,7 @@ func TestFromFlatWithCodesKeepsBinnedPath(t *testing.T) {
 }
 
 // TestFromFlatDropsCodes pins the legacy path: a codeless rebuild predicts
-// identically over float rows but refuses the binned fast path.
+// identically over float rows but has no codes to walk.
 func TestFromFlatDropsCodes(t *testing.T) {
 	X, y := synth(400, 74)
 	b := NewBuilder(X)

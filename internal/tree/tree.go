@@ -7,10 +7,10 @@
 // thousands of small trees a boosted model needs stays cheap: a Builder
 // bins the design matrix once, and each Grow call only accumulates bin
 // statistics for its sample. Grown trees store their nodes in a flat
-// structure-of-arrays layout so batch prediction (AccumulateBatch,
-// AccumulateBinned) streams rows over a tree whose node arrays stay hot
-// in cache — the tree-at-a-time evaluation order the GA and boosting hot
-// paths depend on.
+// structure-of-arrays layout so batch prediction (AccumulateBatch)
+// streams rows over a tree whose node arrays stay hot in cache — the
+// tree-at-a-time evaluation order random forests score with. Boosted HM
+// ensembles score through internal/hm's compiled kernel instead.
 package tree
 
 import (
@@ -65,8 +65,8 @@ type Tree struct {
 	left    []int32
 	right   []int32
 	// bins holds, for split nodes grown by a Builder, the histogram bin
-	// whose edge is the node's threshold — the key to evaluating the tree
-	// over pre-binned rows (AccumulateBinned). Nil for reloaded trees.
+	// whose edge is the node's threshold. Snapshots persist it (Flatten,
+	// FromFlatWithCodes); nil for trees reloaded without codes.
 	bins []uint8
 	// leaves caches the leaf count so NumLeaves is O(1).
 	leaves int
@@ -118,41 +118,9 @@ func (t *Tree) AccumulateBatch(X [][]float64, scale float64, out []float64) {
 	}
 }
 
-// AccumulateBinned adds scale × prediction to out[r] for every encoded
-// row of bm — the boosting update evaluated over pre-binned data. Every
-// split threshold is a bin edge, so comparing uint8 bin codes reaches
-// exactly the leaf a float walk would: results are bit-identical to
-// AccumulateBatch over the original rows, but each node touches a byte
-// column that stays resident in cache instead of row-major float data.
-// Valid only for trees carrying bin codes against the edges that encoded
-// bm: trees grown in-process by that Builder, or trees reloaded via
-// FromFlatWithCodes with bm encoded from the persisted edges
-// (BinWithEdges). Trees reloaded via FromFlat carry no bin codes.
-func (t *Tree) AccumulateBinned(bm *BinMatrix, scale float64, out []float64) {
-	if len(t.bins) != len(t.feature) {
-		panic("tree: AccumulateBinned on a tree without bin codes (grown by another builder or reloaded)")
-	}
-	feature, bins, left, right, thresh := t.feature, t.bins, t.left, t.right, t.thresh
-	for r := 0; r < bm.n; r++ {
-		i := int32(0)
-		for {
-			f := feature[i]
-			if f < 0 {
-				out[r] += scale * thresh[i]
-				break
-			}
-			if bm.cols[f][r] <= bins[i] {
-				i = left[i]
-			} else {
-				i = right[i]
-			}
-		}
-	}
-}
-
-// HasBinCodes reports whether the tree carries the per-split bin codes
-// AccumulateBinned needs: true for trees grown in-process by a Builder
-// and for trees reloaded via FromFlatWithCodes, false after FromFlat.
+// HasBinCodes reports whether the tree carries per-split bin codes: true
+// for trees grown in-process by a Builder and for trees reloaded via
+// FromFlatWithCodes, false after FromFlat.
 func (t *Tree) HasBinCodes() bool {
 	return len(t.feature) > 0 && len(t.bins) == len(t.feature)
 }
@@ -274,54 +242,10 @@ func NewBuilder(X [][]float64) *Builder {
 // N returns the number of rows the builder was constructed with.
 func (b *Builder) N() int { return b.n }
 
-// BinMatrix is a set of rows pre-encoded into a Builder's histogram bins,
-// one uint8 column per feature. Trees grown by that builder can be
-// evaluated over a BinMatrix with byte compares (Tree.AccumulateBinned)
-// instead of float compares over row-major data — the representation the
-// boosting inner loop streams every round.
-type BinMatrix struct {
-	cols [][]uint8 // [feature][row] -> bin index
-	n    int
-}
-
-// Len returns the number of encoded rows.
-func (bm *BinMatrix) Len() int { return bm.n }
-
-// Bin encodes rows of X (same feature width as the builder's matrix) into
-// the builder's bins. A value lands in bin k when it is <= the bin's
-// inclusive upper edge, exactly the builder's own binning rule, so
-// x[f] <= thresh holds iff the encoded value is <= the threshold's bin.
-func (b *Builder) Bin(X [][]float64) *BinMatrix {
-	return BinWithEdges(b.edges, X)
-}
-
-// BinWithEdges encodes rows of X into the histogram bins described by
-// edges (per feature, ascending upper thresholds, as returned by
-// Builder.Edges), applying the builder's binning rule without needing the
-// builder itself. Trees whose bin codes were produced against the same
-// edges evaluate over the result exactly as over a Builder.Bin matrix —
-// this is how a model reloaded from disk (edges persisted alongside its
-// trees) re-enters the binned training path.
-func BinWithEdges(edges [][]float64, X [][]float64) *BinMatrix {
-	bm := &BinMatrix{n: len(X), cols: make([][]uint8, len(edges))}
-	n := len(X)
-	flat := make([]uint8, n*len(edges))
-	for f := range edges {
-		e := edges[f]
-		col := flat[f*n : (f+1)*n : (f+1)*n]
-		for i, row := range X {
-			col[i] = uint8(sort.SearchFloat64s(e, row[f]))
-		}
-		bm.cols[f] = col
-	}
-	return bm
-}
-
 // Edges returns a copy of the per-feature histogram bin edges derived
 // from the builder's design matrix. Every split threshold of a tree the
-// builder grows is one of these edges; persisting them alongside the
-// trees' bin codes is what lets a reloaded model keep using the binned
-// evaluation path (see BinWithEdges).
+// builder grows is one of these edges, and a split's bin code is its
+// threshold's index among them.
 func (b *Builder) Edges() [][]float64 {
 	out := make([][]float64, len(b.edges))
 	for f, e := range b.edges {
@@ -329,10 +253,6 @@ func (b *Builder) Edges() [][]float64 {
 	}
 	return out
 }
-
-// Binned returns the builder's own pre-binned training matrix as a
-// BinMatrix. The storage is shared with the builder, not copied.
-func (b *Builder) Binned() *BinMatrix { return &BinMatrix{cols: b.binned, n: b.n} }
 
 // leafRec is one expandable leaf in the best-first frontier, carrying
 // its cached best split and, in the sibling-subtraction mode, the
