@@ -2,7 +2,10 @@ package ga
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -169,5 +172,62 @@ func TestGenomeCacheCap(t *testing.T) {
 	}
 	if u.Len() != 4*cap {
 		t.Fatalf("unbounded cache evicted: Len=%d, want %d", u.Len(), 4*cap)
+	}
+}
+
+// TestShardedCacheMatchesSingleShard pins that a key's shard only spreads
+// lock traffic: an 8-shard and a 1-shard cache fed the same blocks through
+// Evaluate return identical values and the same evaluated/hit split, block
+// after block, while the keys do spread over every shard — also when every
+// gene is integral, as a space of Int and Choice parameters yields, whose
+// float64 bits are zero below the high mantissa bytes.
+func TestShardedCacheMatchesSingleShard(t *testing.T) {
+	withShards := func(n int) *GenomeCache {
+		prev := runtime.GOMAXPROCS(n)
+		defer runtime.GOMAXPROCS(prev)
+		return NewGenomeCache()
+	}
+	single, sharded := withShards(1), withShards(8)
+	if len(single.shards) != 1 || len(sharded.shards) != 8 {
+		t.Fatalf("shards: %d and %d, want 1 and 8", len(single.shards), len(sharded.shards))
+	}
+	space := conf.StandardSpace()
+	obj := Scalar(sphere(space))
+	rng := rand.New(rand.NewSource(4))
+	var seen, integral [][]float64
+	for b := 0; b < 40; b++ {
+		X := make([][]float64, 64)
+		for i := range X {
+			if len(seen) > 0 && rng.Intn(3) == 0 {
+				X[i] = seen[rng.Intn(len(seen))] // a genome an earlier block scored
+				continue
+			}
+			X[i] = make([]float64, space.Len())
+			space.SampleInto(X[i], rng)
+			if b%2 == 1 {
+				for j := range X[i] {
+					X[i][j] = math.Round(X[i][j])
+				}
+				integral = append(integral, X[i])
+			}
+			seen = append(seen, X[i])
+		}
+		want := make([]float64, len(X))
+		got := make([]float64, len(X))
+		we, wh := Evaluate(obj, single, 1, X, want)
+		ge, gh := Evaluate(obj, sharded, 2, X, got)
+		if !reflect.DeepEqual(got, want) || ge != we || gh != wh {
+			t.Fatalf("block %d: sharded (%d evaluated, %d hits) differs from single-shard (%d, %d)", b, ge, gh, we, wh)
+		}
+	}
+	// The integral genomes alone must reach every shard.
+	perShard := make(map[*cacheShard]int)
+	for _, x := range integral {
+		perShard[sharded.shard(Key(x))]++
+	}
+	for i := range sharded.shards {
+		if n := perShard[&sharded.shards[i]]; n < len(integral)/16 {
+			t.Fatalf("shard %d of 8 holds %d of %d integral genomes", i, n, len(integral))
+		}
 	}
 }

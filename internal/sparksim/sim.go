@@ -3,7 +3,6 @@ package sparksim
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 
 	"repro/internal/cluster"
@@ -66,7 +65,8 @@ func (sc *runScratch) durations(n int) []float64 {
 	return sc.durs[:n]
 }
 
-// median returns the median of xs without modifying it, sorting a reused
+// median returns the median of xs — the element sort.Float64s would
+// place at len(xs)/2 — without modifying it, selecting in a reused
 // working copy.
 func (sc *runScratch) median(xs []float64) float64 {
 	if cap(sc.med) < len(xs) {
@@ -74,8 +74,43 @@ func (sc *runScratch) median(xs []float64) float64 {
 	}
 	s := sc.med[:len(xs)]
 	copy(s, xs)
-	sort.Float64s(s)
-	return s[len(s)/2]
+	return selectKth(s, len(s)/2)
+}
+
+// selectKth returns the element sort.Float64s would place at index k of
+// s (NaNs first), reordering s: a Hoare quickselect that partitions
+// around the middle element and keeps only the side holding k, in
+// expected linear time.
+func selectKth(s []float64, k int) float64 {
+	less := func(a, b float64) bool { return a < b || (a != a && b == b) }
+	lo, hi := 0, len(s)-1
+	for lo < hi {
+		p := s[lo+(hi-lo)/2]
+		i, j := lo, hi
+		for i <= j {
+			for less(s[i], p) {
+				i++
+			}
+			for less(p, s[j]) {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
+		}
+		// Now s[lo..j] <= p <= s[i..hi], and anything between equals p.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return s[k]
+		}
+	}
+	return s[k]
 }
 
 // slotClock returns a zeroed length-n slot heap.

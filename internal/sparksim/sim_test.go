@@ -1,7 +1,9 @@
 package sparksim
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -308,5 +310,43 @@ func TestResultStageLookup(t *testing.T) {
 	}
 	if res.Stage("nope") != nil {
 		t.Fatal("lookup of missing stage should return nil")
+	}
+}
+
+// TestSelectKthMatchesSort checks the speculation median's selection
+// against sorting: on random slices full of duplicates (and some with
+// NaNs), every index k selects the value sort.Float64s puts at k, and
+// median leaves its input untouched.
+func TestSelectKthMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	sc := newRunScratch()
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(80)
+		xs := make([]float64, n)
+		distinct := 1 + rng.Intn(n)
+		for i := range xs {
+			xs[i] = float64(rng.Intn(distinct)) * 0.25
+			if trial%10 == 0 && rng.Intn(8) == 0 {
+				xs[i] = math.NaN()
+			}
+		}
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted)
+		same := func(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }
+		for k := range xs {
+			work := append([]float64(nil), xs...)
+			if got := selectKth(work, k); !same(got, sorted[k]) {
+				t.Fatalf("trial %d: selectKth(%v, %d) = %v, sort gives %v", trial, xs, k, got, sorted[k])
+			}
+		}
+		orig := append([]float64(nil), xs...)
+		if got := sc.median(xs); !same(got, sorted[n/2]) {
+			t.Fatalf("trial %d: median %v, sort gives %v", trial, got, sorted[n/2])
+		}
+		for i := range xs {
+			if !same(xs[i], orig[i]) {
+				t.Fatalf("trial %d: median modified its input", trial)
+			}
+		}
 	}
 }

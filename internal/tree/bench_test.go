@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/conf"
 	"repro/internal/ga"
+	"repro/internal/model"
 )
 
 func benchData(n, d int) ([][]float64, []float64) {
@@ -34,17 +35,29 @@ func BenchmarkNewBuilder(b *testing.B) {
 	}
 }
 
-// BenchmarkGrowTC5 measures growing one boosting sub-model (tc=5), the
-// inner loop of HM's FirstOrderProcedure executed nt=3600 times.
+// bootSamples returns k seeded bootstrap samples of n rows, drawn by
+// model.Bootstrap — the samples hm and rf grow every tree on.
+func bootSamples(n, k int) [][]int {
+	rng := rand.New(rand.NewSource(3))
+	out := make([][]int, k)
+	for i := range out {
+		out[i] = model.Bootstrap(n, rng)
+	}
+	return out
+}
+
+// BenchmarkGrowTC5 measures growing one boosting sub-model (tc=5) on a
+// bootstrap sample, the inner loop of HM's FirstOrderProcedure executed
+// nt=3600 times.
 func BenchmarkGrowTC5(b *testing.B) {
 	X, y := benchData(2000, 42)
 	builder := NewBuilder(X)
-	idx := allIdx(2000)
+	samples := bootSamples(2000, 16)
 	opt := Options{MaxSplits: 5}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		builder.Grow(y, idx, opt, nil)
+		builder.Grow(y, samples[i%len(samples)], opt, nil)
 	}
 }
 
@@ -54,27 +67,27 @@ func BenchmarkGrowTC5(b *testing.B) {
 func BenchmarkGrowTC5Exact(b *testing.B) {
 	X, y := benchData(2000, 42)
 	builder := NewBuilder(X)
-	idx := allIdx(2000)
+	samples := bootSamples(2000, 16)
 	opt := Options{MaxSplits: 5}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		exactGrow(builder, y, idx, opt, nil)
+		exactGrow(builder, y, samples[i%len(samples)], opt, nil)
 	}
 }
 
 // BenchmarkGrowDeep measures growing one random-forest tree (127 splits,
-// feature-sampled).
+// feature-sampled) on a bootstrap sample.
 func BenchmarkGrowDeep(b *testing.B) {
 	X, y := benchData(2000, 42)
 	builder := NewBuilder(X)
-	idx := allIdx(2000)
+	samples := bootSamples(2000, 16)
 	rng := rand.New(rand.NewSource(2))
 	opt := Options{MaxSplits: 127, FeatureFrac: 1.0 / 3, MinLeaf: 3}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		builder.Grow(y, idx, opt, rng)
+		builder.Grow(y, samples[i%len(samples)], opt, rng)
 	}
 }
 
@@ -150,17 +163,18 @@ func BenchmarkPredictBatch(b *testing.B) {
 }
 
 // BenchmarkGrowParallel measures the parallel split scan against the
-// serial one at HM's paper-scale node size (2000 rows × 42 features).
+// serial one at HM's paper-scale node size (2000 rows × 42 features),
+// on bootstrap samples.
 func BenchmarkGrowParallel(b *testing.B) {
 	X, y := benchData(2000, 42)
 	builder := NewBuilder(X)
-	idx := allIdx(2000)
+	samples := bootSamples(2000, 16)
 	for _, workers := range []int{1, 4} {
 		opt := Options{MaxSplits: 5, Workers: workers}
 		b.Run(map[bool]string{true: "serial", false: "parallel"}[workers == 1], func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				builder.Grow(y, idx, opt, nil)
+				builder.Grow(y, samples[i%len(samples)], opt, nil)
 			}
 		})
 	}

@@ -35,8 +35,24 @@ func BinWithEdges(edges [][]float64, X [][]float64) *BinMatrix {
 	return bm
 }
 
-// Binned returns the builder's own binned training matrix (shared).
-func (b *Builder) Binned() *BinMatrix { return &BinMatrix{cols: b.binned, n: b.n} }
+// Binned returns the builder's own binned training matrix, unpacked from
+// its code words.
+func (b *Builder) Binned() *BinMatrix {
+	bm := &BinMatrix{n: b.n, cols: make([][]uint8, b.d)}
+	for f := range bm.cols {
+		bm.cols[f] = make([]uint8, b.n)
+		for i := range bm.cols[f] {
+			bm.cols[f][i] = b.code(f, i)
+		}
+	}
+	return bm
+}
+
+// code returns the builder's bin code of feature f in row i.
+func (b *Builder) code(f, i int) uint8 {
+	col, t := b.column(f)
+	return uint8(col[i] >> t)
+}
 
 // AccumulateBinned adds scale × prediction to out[r] for every row of bm,
 // walking the tree on bin codes. It panics on a tree without codes.

@@ -41,7 +41,7 @@ func exactGrow(b *Builder, y []float64, idx []int, opt Options, rng *rand.Rand) 
 		l := leaves[best]
 		var li, ri []int
 		for _, i := range l.idx {
-			if b.binned[l.feature][i] <= uint8(l.bin) {
+			if b.code(l.feature, i) <= uint8(l.bin) {
 				li = append(li, i)
 			} else {
 				ri = append(ri, i)
@@ -87,8 +87,9 @@ func exactSplit(b *Builder, y []float64, idx []int, opt Options, rng *rand.Rand)
 		for k := 0; k < nb; k++ {
 			cnt[k], sum[k] = 0, 0
 		}
+		col, t := b.column(f)
 		for _, i := range idx {
-			k := b.binned[f][i]
+			k := col[i] >> t & (maxBins - 1)
 			cnt[k]++
 			sum[k] += y[i]
 		}

@@ -5,12 +5,13 @@
 //
 // Split finding uses per-feature histogram binning so that growing the
 // thousands of small trees a boosted model needs stays cheap: a Builder
-// bins the design matrix once, and each Grow call only accumulates bin
-// statistics for its sample. Grown trees store their nodes in a flat
-// structure-of-arrays layout so batch prediction (AccumulateBatch)
-// streams rows over a tree whose node arrays stay hot in cache — the
-// tree-at-a-time evaluation order random forests score with. Boosted HM
-// ensembles score through internal/hm's compiled kernel instead.
+// bins the design matrix once into packed 8-feature code words, and each
+// Grow call only accumulates bin statistics for its sample. Grown trees
+// store their nodes in a flat structure-of-arrays layout so batch
+// prediction (AccumulateBatch) streams rows over a tree whose node arrays
+// stay hot in cache — the tree-at-a-time evaluation order random forests
+// score with. Boosted HM ensembles score through internal/hm's compiled
+// kernel instead.
 package tree
 
 import (
@@ -33,8 +34,9 @@ type Options struct {
 	FeatureFrac float64
 	// Workers bounds the goroutines one split-finding scan may use on
 	// large nodes (0 or 1 = serial). The grown tree is identical for any
-	// value: feature chunks accumulate into disjoint histogram blocks and
-	// the split scan over them stays serial (hist.go).
+	// value: code groups (or sampled-feature chunks) accumulate into
+	// disjoint histogram blocks and the split scan over them stays serial
+	// (hist.go).
 	Workers int
 }
 
@@ -138,15 +140,22 @@ const maxBins = 64
 // scan stays serial: spawning goroutines costs more than the scan.
 const parallelScanMinWork = 1 << 14
 
+// groupSize is the number of features whose bin codes share one packed
+// word: a code is < maxBins, so it fits a byte.
+const groupSize = 8
+
 // Builder pre-bins a design matrix so many trees can be grown over
 // different targets and samples without re-sorting features. A Builder is
 // safe for concurrent Grow calls once constructed: growth only reads the
-// binned matrix, and the attached counters are atomic.
+// packed codes, and the attached counters are atomic.
 type Builder struct {
-	n, d        int
-	binned      [][]uint8   // [feature][row] -> bin index (one flat backing array)
+	n, d int
+	// codes packs the bin codes group-major: word g*n+i holds row i's
+	// codes for features 8g..8g+7, feature 8g+j in byte j. A partial last
+	// group leaves its high bytes zero.
+	codes       []uint64
 	edges       [][]float64 // [feature][bin] -> upper threshold of bin
-	x           [][]float64 // original rows (for thresholds only)
+	used        []int       // [feature] -> len(edges)+1, the bins a code can name
 	allFeatures []int       // 0..d-1, reused when no feature sampling
 
 	// histPool recycles full-width node histograms between Grow calls
@@ -155,11 +164,6 @@ type Builder struct {
 	// recip[k] = 1/k for k <= n: the fast split scan turns its two
 	// per-bin divisions into table-lookup multiplies (hist.go).
 	recip []float64
-	// rootCnt[f*maxBins+k] counts the rows in feature f's bin k over the
-	// whole matrix. Counts don't depend on targets, so a root histogram
-	// over the identity sample copies this plane and accumulates sums
-	// only (hist.go buildHist).
-	rootCnt []int32
 
 	// Metrics are nil unless Instrument attached a registry; obs metrics
 	// no-op on nil receivers, so Grow records unconditionally.
@@ -191,20 +195,17 @@ func NewBuilder(X [][]float64) *Builder {
 	if n > 0 {
 		d = len(X[0])
 	}
-	b := &Builder{n: n, d: d, x: X,
-		binned:      make([][]uint8, d),
+	b := &Builder{n: n, d: d,
+		codes:       make([]uint64, (d+groupSize-1)/groupSize*n),
 		edges:       make([][]float64, d),
+		used:        make([]int, d),
 		allFeatures: make([]int, d),
 	}
 	for f := range b.allFeatures {
 		b.allFeatures[f] = f
 	}
-	b.histPool.New = func() any { return newHist(d) }
+	b.histPool.New = func() any { return newHist(b.used) }
 	b.recip = recipTable(n)
-	// One flat backing array for all feature columns keeps the binned
-	// matrix contiguous, so a histogram build walking several columns
-	// stays within one allocation.
-	flat := make([]uint8, n*d)
 	vals := make([]float64, n)
 	for f := 0; f < d; f++ {
 		for i := 0; i < n; i++ {
@@ -221,22 +222,23 @@ func NewBuilder(X [][]float64) *Builder {
 			}
 		}
 		b.edges[f] = edges
-		col := flat[f*n : (f+1)*n : (f+1)*n]
+		b.used[f] = len(edges) + 1
+		col, t := b.column(f)
 		for i := 0; i < n; i++ {
-			col[i] = uint8(sort.SearchFloat64s(edges, vals[i]))
 			// bin k means value <= edges[k] (edge k is the bin's
 			// inclusive upper threshold); the last bin is overflow.
-		}
-		b.binned[f] = col
-	}
-	b.rootCnt = make([]int32, d*maxBins)
-	for f := 0; f < d; f++ {
-		cnt := (*[maxBins]int32)(b.rootCnt[f*maxBins:])
-		for _, k := range b.binned[f] {
-			cnt[k&(maxBins-1)]++
+			col[i] |= uint64(sort.SearchFloat64s(edges, vals[i])) << t
 		}
 	}
 	return b
+}
+
+// column returns the packed words holding feature f's codes and the
+// shift that brings f's byte to the bottom: f's code of row i is
+// col[i] >> t & 63.
+func (b *Builder) column(f int) (col []uint64, t uint64) {
+	g := f / groupSize
+	return b.codes[g*b.n : (g+1)*b.n : (g+1)*b.n], uint64(8 * (f % groupSize))
 }
 
 // N returns the number of rows the builder was constructed with.
@@ -310,13 +312,14 @@ func (b *Builder) Grow(y []float64, idx []int, opt Options, rng *rand.Rand) *Tre
 		// Stable partition into one exact-size allocation: append-grown
 		// slices would reallocate ~log2(n) times per split, and this loop
 		// runs once per tree node across thousands of boosted trees.
-		col, ub := b.binned[f], uint8(bin)
+		col, sh := b.column(f)
+		ub := uint8(bin)
 		nL := lr.nl
 		mem := make([]int, len(lr.idx))
 		li, ri := mem[:nL:nL], mem[nL:]
 		lp, rp := 0, 0
 		for _, i := range lr.idx {
-			if col[i] <= ub {
+			if uint8(col[i]>>sh) <= ub {
 				li[lp] = i
 				lp++
 			} else {
