@@ -208,9 +208,9 @@ func TestDerivedSiblingCountsExact(t *testing.T) {
 	parent := b.getHist()
 	small := b.getHist()
 	direct := b.getHist()
-	b.buildHist(parent, y, idx, b.allFeatures, 1)
-	b.buildHist(small, y, left, b.allFeatures, 1)
-	b.buildHist(direct, y, right, b.allFeatures, 1)
+	b.buildHist(parent, y, idx, b.allFeatures, true, 1)
+	b.buildHist(small, y, left, b.allFeatures, true, 1)
+	b.buildHist(direct, y, right, b.allFeatures, true, 1)
 	parent.sub(small)
 	for i := range direct.cnt {
 		if parent.cnt[i] != direct.cnt[i] {
