@@ -31,7 +31,7 @@ func cmdServe(args []string) error {
 	workers := fs.Int("workers", 2, "concurrent tuning jobs (min 1)")
 	coalesceWindow := fs.Duration("coalesce-window", 200*time.Microsecond, "predict micro-batch gather window (must be positive)")
 	keepVersions := fs.Int("keep-versions", 4, "old model versions kept hot beside the latest (0 = keep none)")
-	memoCap := fs.Int("memo-cap", 262144, "max memoized prediction vectors per hot model version (must be positive)")
+	memoCap := fs.Int("memo-cap", 262144, "max prediction vectors each hot model version memoizes after their second request; first answers wait in a window of memo-cap/64 (must be positive)")
 	coordinator := fs.Bool("coordinator", false, "enable the fleet coordinator: collect sweeps shard across `dac worker` agents when any are live (DESIGN.md §15)")
 	leaseTTL := fs.Duration("lease-ttl", 10*time.Second, "fleet: lease/liveness horizon past a worker's last heartbeat")
 	chunkRows := fs.Int("chunk-rows", 64, "fleet: sweep rows per leased chunk")

@@ -6,8 +6,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-
-	"repro/internal/obs"
 )
 
 // GenomeCache memoizes objective values keyed on the exact gene bits of a
@@ -26,13 +24,6 @@ import (
 type GenomeCache struct {
 	shards []cacheShard
 	shift  uint // 64 − log2(len(shards)): a hash's top bits pick its shard
-	// perShard bounds each shard's entry count (0 = unbounded). On
-	// overflow a shard evicts roughly half its entries — map iteration
-	// order stands in for random replacement, which is cheap (no
-	// recency bookkeeping on the hot Lookup path) and good enough for a
-	// memo whose keys recur with no particular locality.
-	perShard  int
-	evictions *obs.Counter // nil-safe; counts evicted entries
 }
 
 type cacheShard struct {
@@ -43,26 +34,12 @@ type cacheShard struct {
 // NewGenomeCache returns an empty unbounded cache with
 // GOMAXPROCS-proportional sharding.
 func NewGenomeCache() *GenomeCache {
-	return NewGenomeCacheCap(0, nil)
-}
-
-// NewGenomeCacheCap returns an empty cache holding at most maxEntries
-// memoized genomes (0 or negative = unbounded), spread over
-// GOMAXPROCS-proportional shards. evictions, when non-nil, is
-// incremented once per entry dropped by the cap.
-func NewGenomeCacheCap(maxEntries int, evictions *obs.Counter) *GenomeCache {
 	n, shift := 1, uint(64)
 	for n < runtime.GOMAXPROCS(0) {
 		n <<= 1
 		shift--
 	}
-	c := &GenomeCache{shards: make([]cacheShard, n), shift: shift, evictions: evictions}
-	if maxEntries > 0 {
-		c.perShard = (maxEntries + n - 1) / n
-		if c.perShard < 1 {
-			c.perShard = 1
-		}
-	}
+	c := &GenomeCache{shards: make([]cacheShard, n), shift: shift}
 	for i := range c.shards {
 		c.shards[i].m = make(map[string]float64)
 	}
@@ -79,10 +56,8 @@ const (
 // 8-byte words rather than its bytes — a key is one word per gene — and
 // takes the hash's top bits: a multiply carries each bit only upward, and
 // an integral gene's float64 bits are zero in every low mantissa byte, so
-// only the top bits depend on every gene. A memoized value never depends
-// on the shard, but under a cap each shard evicts on its own, so the
-// shard function also decides which entries are evicted and thereby the
-// hit rate of a capped memo.
+// only the top bits depend on every gene. The shard decides only which
+// lock a key takes, never its value.
 func (c *GenomeCache) shard(key string) *cacheShard {
 	h := cacheFNVOffset
 	for ; len(key) >= 8; key = key[8:] {
@@ -105,25 +80,10 @@ func (c *GenomeCache) Lookup(key string) (float64, bool) {
 	return v, ok
 }
 
-// Store memoizes the value for the genome key, evicting ~half of the
-// key's shard first when storing a new key into a full shard.
+// Store memoizes the value for the genome key.
 func (c *GenomeCache) Store(key string, v float64) {
 	s := c.shard(key)
 	s.mu.Lock()
-	if c.perShard > 0 && len(s.m) >= c.perShard {
-		if _, exists := s.m[key]; !exists {
-			drop := len(s.m) - c.perShard/2
-			evicted := int64(0)
-			for k := range s.m {
-				if evicted >= int64(drop) {
-					break
-				}
-				delete(s.m, k)
-				evicted++
-			}
-			c.evictions.Add(evicted)
-		}
-	}
 	s.m[key] = v
 	s.mu.Unlock()
 }
@@ -134,8 +94,8 @@ func (c *GenomeCache) Store(key string, v float64) {
 // equivalence the model.BatchPredictor contract guarantees over, so a
 // pure objective or a deterministic model returns the same value for
 // rows with equal keys however they are batched. It is the key of every
-// memo in the module: GenomeCache entries written by Evaluate and the
-// daemon's per-model prediction memo. +0 and -0 encode differently, as
+// GenomeCache entry Evaluate writes, and the daemon's prediction memo
+// encodes its keys the same way. +0 and -0 encode differently, as
 // do distinct NaN payloads, which is exactly the conservatism a
 // bit-exact memo wants.
 func Key(x []float64) string {

@@ -1,7 +1,6 @@
 package ga
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -10,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/conf"
-	"repro/internal/obs"
 )
 
 // TestSharedCacheSameResult pins the sharing contract: a Minimize run
@@ -119,59 +117,6 @@ func TestGenomeCacheShards(t *testing.T) {
 	}
 	if c.Len() != len(keys) {
 		t.Fatalf("Len=%d, want %d", c.Len(), len(keys))
-	}
-}
-
-// TestGenomeCacheCap checks the bounded cache: the entry count stays
-// within the cap, updates of existing keys never evict, eviction makes
-// room for new keys, and the evictions counter tracks dropped entries.
-func TestGenomeCacheCap(t *testing.T) {
-	evictions := obs.NewRegistry().Counter("evictions")
-	const cap = 64
-	c := NewGenomeCacheCap(cap, evictions)
-	perShard := c.perShard
-	if perShard < 1 {
-		t.Fatalf("perShard=%d", perShard)
-	}
-	limit := perShard * len(c.shards)
-	for i := 0; i < 10*cap; i++ {
-		c.Store(fmt.Sprintf("genome-%d", i), float64(i))
-		if c.Len() > limit {
-			t.Fatalf("after %d stores: Len=%d exceeds limit %d", i+1, c.Len(), limit)
-		}
-	}
-	if evictions.Value() == 0 {
-		t.Fatal("no evictions counted after 10x-cap stores")
-	}
-	// Updating a resident key in a full shard must not evict.
-	var resident string
-	for i := 10*cap - 1; i >= 0; i-- {
-		k := fmt.Sprintf("genome-%d", i)
-		if _, ok := c.Lookup(k); ok {
-			resident = k
-			break
-		}
-	}
-	before := evictions.Value()
-	c.Store(resident, -1)
-	if evictions.Value() != before {
-		t.Fatal("updating a resident key evicted entries")
-	}
-	if v, ok := c.Lookup(resident); !ok || v != -1 {
-		t.Fatalf("resident key lost its update: (%v,%v)", v, ok)
-	}
-	// Recently stored keys should still be useful: at least one of the
-	// last perShard stores survives.
-	if c.Len() == 0 {
-		t.Fatal("cache emptied itself")
-	}
-	// Unbounded cache never evicts.
-	u := NewGenomeCacheCap(0, nil)
-	for i := 0; i < 4*cap; i++ {
-		u.Store(fmt.Sprintf("genome-%d", i), float64(i))
-	}
-	if u.Len() != 4*cap {
-		t.Fatalf("unbounded cache evicted: Len=%d, want %d", u.Len(), 4*cap)
 	}
 }
 

@@ -52,9 +52,12 @@ func Load(r io.Reader) (*Surface, error) {
 	if snap.Version < 1 || snap.Version > snapshotVersion {
 		return nil, fmt.Errorf("rs: surface snapshot version %d, want 1..%d", snap.Version, snapshotVersion)
 	}
-	if len(snap.Beta) == 0 || len(snap.Mean) != len(snap.Std) {
-		return nil, fmt.Errorf("rs: malformed snapshot: %d terms, %d/%d standardizer columns",
-			len(snap.Beta), len(snap.Mean), len(snap.Std))
+	// Predict expands a Dim-wide vector into exactly numTerms(Dim) basis
+	// terms, so a snapshot of any other shape could not answer it.
+	if len(snap.Mean) != snap.Dim || len(snap.Std) != snap.Dim ||
+		len(snap.Beta) != numTerms(snap.Dim, snap.Interactions) {
+		return nil, fmt.Errorf("rs: malformed snapshot: dim %d, %d terms (want %d), %d/%d standardizer columns",
+			snap.Dim, len(snap.Beta), numTerms(snap.Dim, snap.Interactions), len(snap.Mean), len(snap.Std))
 	}
 	return &Surface{
 		std:          &model.Standardizer{Mean: snap.Mean, Std: snap.Std},

@@ -57,14 +57,19 @@ func (s *Surface) Predict(x []float64) float64 {
 	return v
 }
 
+// numTerms is the size of the d-feature basis expand builds.
+func numTerms(d int, interactions bool) int {
+	n := 1 + 2*d
+	if interactions {
+		n += d * (d - 1) / 2
+	}
+	return n
+}
+
 // expand maps z to the second-order basis: 1, z_i, z_i², z_i z_j (i<j).
 func expand(z []float64, interactions bool) []float64 {
 	d := len(z)
-	size := 1 + 2*d
-	if interactions {
-		size += d * (d - 1) / 2
-	}
-	phi := make([]float64, 0, size)
+	phi := make([]float64, 0, numTerms(d, interactions))
 	phi = append(phi, 1)
 	phi = append(phi, z...)
 	for _, v := range z {

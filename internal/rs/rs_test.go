@@ -1,6 +1,8 @@
 package rs
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"testing"
@@ -98,5 +100,58 @@ func TestTrainerInterface(t *testing.T) {
 	}
 	if _, err := tr.Train(synthDS(100, 8)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLoadRejectsMisshapenSnapshots pins that Load checks a snapshot's
+// shape against its dimension. The first case is a 2-feature surface
+// whose Beta holds one term more than the 5-term basis: Load used to
+// accept it, and Predict then indexed past the basis and panicked.
+func TestLoadRejectsMisshapenSnapshots(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	ds := model.NewDataset(nil)
+	for i := 0; i < 40; i++ {
+		x := []float64{rng.Float64() * 4, rng.Float64() * 4}
+		ds.Add(x, 10+4*x[0]+x[1]*x[1])
+	}
+	s, err := Train(ds, Options{NoInteractions: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var good snapshot
+	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&good); err != nil {
+		t.Fatal(err)
+	}
+	if len(good.Beta) != 5 {
+		t.Fatalf("2-feature basis without interactions has %d terms, want 5", len(good.Beta))
+	}
+	x := []float64{1.5, 2.5}
+	if l, err := Load(bytes.NewReader(buf.Bytes())); err != nil || l.Predict(x) != s.Predict(x) {
+		t.Fatalf("round trip: err %v", err)
+	}
+
+	cases := map[string]func(*snapshot){
+		"beta one term long":  func(sn *snapshot) { sn.Beta = append(sn.Beta, 0.5) },
+		"beta one term short": func(sn *snapshot) { sn.Beta = sn.Beta[:4] },
+		"interactions flag":   func(sn *snapshot) { sn.Interactions = true },
+		"mean short":          func(sn *snapshot) { sn.Mean = sn.Mean[:1] },
+		"std short":           func(sn *snapshot) { sn.Std = sn.Std[:1] },
+		"dim wider":           func(sn *snapshot) { sn.Dim = 3 },
+	}
+	for name, mutate := range cases {
+		sn := good
+		sn.Beta = append([]float64(nil), good.Beta...)
+		mutate(&sn)
+		var b bytes.Buffer
+		if err := gob.NewEncoder(&b).Encode(sn); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&b); err == nil {
+			t.Errorf("%s: Load accepted a misshapen snapshot", name)
+		}
 	}
 }

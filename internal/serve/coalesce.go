@@ -36,16 +36,19 @@ type coalescer struct {
 // predBatch is one in-flight gather. rows is appended under the
 // coalescer's mutex only while the batch is attached (cur == b); the
 // leader detaches the batch before reading rows, so the slice is frozen
-// by the time it is scored. done publishes out to the followers.
+// by the time it is scored. done publishes out, or failure, to the
+// followers.
 type predBatch struct {
-	rows [][]float64
-	out  []float64
-	full chan struct{} // closed when maxBatch is reached
-	done chan struct{} // closed once out is filled
+	rows    [][]float64
+	out     []float64
+	failure any           // the value PredictBatch panicked with, if it did
+	full    chan struct{} // closed when maxBatch is reached
+	done    chan struct{} // closed once out is filled or scoring failed
 }
 
 // predict scores x through the current batch, blocking until the
-// batch's leader has flushed it.
+// batch's leader has flushed it. If scoring the batch panics, the leader
+// and every follower panic with the same value.
 func (co *coalescer) predict(m model.Model, x []float64) float64 {
 	co.mu.Lock()
 	b := co.cur
@@ -64,6 +67,9 @@ func (co *coalescer) predict(m model.Model, x []float64) float64 {
 
 	if !leader {
 		<-b.done
+		if b.failure != nil {
+			panic(b.failure)
+		}
 		return b.out[idx]
 	}
 
@@ -81,10 +87,23 @@ func (co *coalescer) predict(m model.Model, x []float64) float64 {
 	}
 	co.mu.Unlock()
 
+	co.flush(m, b)
+	return b.out[idx]
+}
+
+// flush scores a detached batch and releases its followers on every
+// path: a panic in PredictBatch is recorded for them before it
+// propagates.
+func (co *coalescer) flush(m model.Model, b *predBatch) {
+	defer close(b.done)
+	defer func() {
+		if r := recover(); r != nil {
+			b.failure = r
+			panic(r)
+		}
+	}()
 	b.out = make([]float64, len(b.rows))
 	model.PredictBatch(m, b.rows, b.out)
 	co.batches.Inc()
 	co.sizes.Observe(float64(len(b.rows)))
-	close(b.done)
-	return b.out[idx]
 }

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/ga"
 	"repro/internal/model"
 	"repro/internal/obs"
 )
@@ -20,10 +19,13 @@ import (
 // writer, and never observing a torn model (entries are immutable after
 // construction; only the state pointer is swapped).
 //
-// Each pinned entry carries its own prediction memo (a ga.GenomeCache,
-// keyed on the request vector's exact feature bits via ga.Key) and its
-// own coalescer (coalesce.go), so the memo and the batches can never mix
-// rows from different model versions.
+// Each pinned entry carries its own prediction memo (memo.go, keyed on
+// the request vector's exact feature bits) and its own coalescer
+// (coalesce.go), so the memo and the batches can never mix rows from
+// different model versions. The memo admits a vector on its second
+// request: a first answer waits in a small probation ring, so one-off
+// vectors cost a bounded window rather than a share of the cap, and the
+// memo's size follows the set of vectors clients repeat.
 
 // ServingOptions tune the hot serving path. The zero value selects the
 // defaults.
@@ -39,11 +41,13 @@ type ServingOptions struct {
 	// pinned; the least recently used is evicted first. The latest
 	// version is always pinned. Default 4; negative keeps none.
 	KeepOldVersions int
-	// MemoCap bounds each pinned version's prediction memo entry count
-	// (default 1<<18 ≈ 260k vectors ≈ tens of MB per hot version;
-	// negative = unbounded). Overflow evicts cheaply — see
-	// ga.NewGenomeCacheCap — and is counted in
-	// serve.predict.memo.evictions.
+	// MemoCap bounds the vectors each pinned version's prediction memo
+	// keeps after their second request (default 1<<18; negative =
+	// unbounded). At about 500 B per vector the default allows about
+	// 130 MB per version, but only vectors asked for at least twice reach
+	// it; first answers wait in a probation ring of MemoCap/64 vectors
+	// (4,096 at the default). Overflow evicts about half of a shard's
+	// protected entries and is counted in serve.predict.memo.evictions.
 	MemoCap int
 }
 
@@ -93,7 +97,7 @@ type modelKey struct {
 type hotModel struct {
 	model model.Model
 	meta  ModelMeta
-	memo  *ga.GenomeCache
+	memo  *memo
 	co    *coalescer
 	cache *ModelCache
 	// lastUsed is a recency tick for LRU eviction among old versions.
@@ -109,14 +113,15 @@ func (h *hotModel) Meta() ModelMeta { return h.meta }
 // through model.PredictBatch, whose contract is bit-identity with
 // per-row Predict.
 func (h *hotModel) Predict(x []float64) float64 {
-	key := ga.Key(x)
-	if v, ok := h.memo.Lookup(key); ok {
+	var buf [memoKeyBytes]byte
+	key, s := h.memo.key(buf[:0], x)
+	if v, ok := h.memo.lookup(s, key); ok {
 		h.cache.memoHits.Inc()
 		return v
 	}
 	h.cache.memoMisses.Inc()
 	v := h.co.predict(h.model, x)
-	h.memo.Store(key, v)
+	h.memo.store(s, key, v)
 	return v
 }
 
@@ -231,7 +236,7 @@ func (c *ModelCache) newHotModel(mdl model.Model, meta ModelMeta) *hotModel {
 	h := &hotModel{
 		model: mdl,
 		meta:  meta,
-		memo:  ga.NewGenomeCacheCap(c.opt.MemoCap, c.memoEvictions),
+		memo:  newMemo(c.opt.MemoCap, c.memoEvictions),
 		co: &coalescer{
 			window:   c.opt.CoalesceWindow,
 			maxBatch: c.opt.MaxBatch,

@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"errors"
 	"math/rand"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -234,6 +236,53 @@ func TestCoalescerBatchesConcurrentPredicts(t *testing.T) {
 	}
 	if r.Counter("serve.predict.memo.hits").Value() == 0 {
 		t.Fatal("memo hit counter never moved")
+	}
+}
+
+// panicModel is a model whose every prediction panics with errPredict.
+// It counts the batches it is asked to score.
+type panicModel struct{ batches *atomic.Int32 }
+
+var errPredict = errors.New("predict failed")
+
+func (panicModel) Predict([]float64) float64 { panic(errPredict) }
+
+func (m panicModel) PredictBatch([][]float64, []float64) {
+	m.batches.Add(1)
+	panic(errPredict)
+}
+
+// TestCoalescerPanicReleasesFollowers scores concurrent predicts with a
+// model whose PredictBatch panics: every predict, leader or follower,
+// must fail with the model's panic value instead of blocking on the
+// batch or returning a zero prediction.
+func TestCoalescerPanicReleasesFollowers(t *testing.T) {
+	co := &coalescer{window: 20 * time.Millisecond, maxBatch: 64}
+	m := panicModel{batches: new(atomic.Int32)}
+	const n = 16
+	failures := make(chan any, n)
+	start := make(chan struct{})
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			defer func() { failures <- recover() }()
+			<-start
+			co.predict(m, []float64{float64(i)})
+		}(i)
+	}
+	close(start)
+	timeout := time.After(10 * time.Second)
+	for i := 0; i < n; i++ {
+		select {
+		case r := <-failures:
+			if r != errPredict {
+				t.Fatalf("a predict of a failed batch ended with %v, want a %q panic", r, errPredict)
+			}
+		case <-timeout:
+			t.Fatalf("%d of %d predicts still blocked on a failed batch", n-i, n)
+		}
+	}
+	if b := m.batches.Load(); b >= n {
+		t.Fatalf("%d predicts ran as %d batches: no follower was exercised", n, b)
 	}
 }
 

@@ -283,6 +283,7 @@ func (b *Builder) Grow(y []float64, idx []int, opt Options, rng *rand.Rand) *Tre
 		t.addLeaf(0)
 		return t
 	}
+	t.reserve(2*min(opt.maxSplits(), len(idx)) + 1)
 	g := &grower{b: b, y: y, opt: opt, rng: rng}
 	g.init(len(idx))
 	root := t.addLeaf(meanAt(y, idx))
@@ -346,6 +347,19 @@ func (b *Builder) Grow(y []float64, idx []int, opt Options, rng *rand.Rand) *Tre
 	}
 	g.release(leaves)
 	return t
+}
+
+// reserve sizes the node slices for n nodes, so that addLeaf never
+// reallocates in a tree of up to n nodes: Grow reserves the 2·splits+1
+// nodes its split budget can reach (a split needs two rows, so a sample
+// caps the budget too).
+func (t *Tree) reserve(n int) {
+	ids := make([]int32, 3*n)
+	t.feature = ids[:0:n]
+	t.left = ids[n : n : 2*n]
+	t.right = ids[2*n : 2*n : 3*n]
+	t.thresh = make([]float64, 0, n)
+	t.bins = make([]uint8, 0, n)
 }
 
 func (t *Tree) addLeaf(v float64) int32 {
