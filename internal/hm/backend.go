@@ -8,7 +8,7 @@ import (
 )
 
 // Backend adapts the package to the model.Backend contract, with
-// persistence (snapshot v2: bin edges + codes) and warm-start via Resume
+// persistence (snapshot v2: the trees' thresholds) and warm-start via Resume
 // as discovered capabilities. Opt seeds the defaults; model.TrainOpts
 // fields overlay the knobs they map to, so the daemon's per-job budgets
 // reproduce exactly the hm.Options a direct Train call would use.

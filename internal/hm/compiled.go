@@ -28,10 +28,6 @@ const (
 	// Codes run 0..len(thr) and must stay below 0x8000 so the
 	// lane-parallel compare keeps its borrow inside its own 16-bit lane.
 	maxThresholds = 0x7fff
-	// maxFeatures bounds the split feature index a model may name. No
-	// configuration space comes near it; a snapshot beyond it is corrupt,
-	// and predicting on it would need a vector that wide.
-	maxFeatures = 1 << 16
 
 	laneOnes = 0x0001000100010001
 	laneHigh = 0x8000800080008000
@@ -76,8 +72,9 @@ func modelSpace(trees []*tree.Tree) (codeSpace, error) {
 			if n.Leaf {
 				continue
 			}
-			if n.Feature >= maxFeatures {
-				return codeSpace{}, fmt.Errorf("hm: split on feature %d, want < %d", n.Feature, maxFeatures)
+			// Load rejects such a tree; Train and Resume must not make one.
+			if n.Feature >= tree.MaxFeatures {
+				return codeSpace{}, fmt.Errorf("hm: split on feature %d, want < %d", n.Feature, tree.MaxFeatures)
 			}
 			if !math.IsNaN(n.Threshold) {
 				all = append(all, split{n.Feature, n.Threshold})

@@ -38,7 +38,7 @@ func encodeSnapshot(t testing.TB, trees ...[]tree.FlatNode) []byte {
 // of a small trained model and a snapshot holding a 6-split tree. Load
 // must never panic, and every model it accepts must answer Predict and
 // PredictBatch — on a counting probe and on a NaN/±Inf probe — exactly as
-// the pointer walk does. Load bounds split features below maxFeatures,
+// the pointer walk does. Load bounds split features below tree.MaxFeatures,
 // so the probe is always allocatable.
 func FuzzLoad(f *testing.F) {
 	m, err := Train(synthDS(120, 61), Options{Trees: 12, LearningRate: 0.1, TreeComplexity: 3,

@@ -139,12 +139,6 @@ type Model struct {
 	subs  []*firstOrder
 	coefs []float64
 	log   bool
-	// edges, when non-nil, are the training Builder's per-feature
-	// histogram bin edges, which the trees' bin codes index. Save
-	// persists them (snapshot v2); scoring never reads them. Nil for
-	// models loaded from legacy (v1) snapshots and for models whose
-	// trees no longer share one edge set (see Resume).
-	edges [][]float64
 	// ens is the compiled form every prediction runs through, rebuilt
 	// at the end of Train, Resume and Load so it is never stale.
 	ens ensemble
@@ -247,9 +241,7 @@ func Train(ds *model.Dataset, opt Options) (*Model, error) {
 		}
 	}
 
-	// The builder's bin edges travel with the model into its snapshot,
-	// which keeps the v2 format every earlier reader understands.
-	m := &Model{log: !opt.NoLogTarget, Order: 1, edges: tr.builder.Edges()}
+	m := &Model{log: !opt.NoLogTarget, Order: 1}
 	// Algorithm 1 main loop: build first-order models until the target
 	// accuracy is met or the order budget is exhausted.
 	for order := 1; ; order++ {

@@ -13,16 +13,12 @@ import (
 // separable in time and process. Save/Load use encoding/gob over an
 // exported snapshot of the model.
 
-// snapshot is the serialized form of a Model.
-//
-// Version 2 added BinEdges and HasBins — the training Builder's histogram
-// edges plus a flag that the trees' per-split bin codes are valid. Scoring
-// and Resume need neither (the compiled form derives its code space from
-// the trees' own thresholds); they are still written so the format stays
-// the one every earlier reader understands. The schema stays backward
-// compatible: gob decodes a version-1 stream into the same struct with
-// the new fields zero, and Load then simply rebuilds the model without
-// codes.
+// snapshot is the serialized form of a Model: the blend and the trees'
+// thresholds and leaves, all that scoring and Resume read. Version-2
+// snapshots from before trees stored thresholds alone also carry the
+// training Builder's bin edges (BinEdges), per-node bin codes and a flag
+// that those are valid (HasBins); gob skips them on decode. A version-1
+// stream has this struct's fields.
 type snapshot struct {
 	Version int
 	Log     bool
@@ -30,15 +26,6 @@ type snapshot struct {
 	ValErr  float64
 	Coefs   []float64
 	Subs    []snapshotFO
-
-	// BinEdges are the per-feature histogram bin edges of the training
-	// Builder (version ≥ 2; nil in legacy streams).
-	BinEdges [][]float64
-	// HasBins records that every persisted tree node carries a valid Bin
-	// code. Validity must be signaled here rather than per node: a
-	// version-1 stream decodes every FlatNode.Bin as zero, which is
-	// indistinguishable from a genuine bin 0.
-	HasBins bool
 }
 
 type snapshotFO struct {
@@ -51,15 +38,7 @@ const snapshotVersion = 2
 
 // Save writes the model to w.
 func (m *Model) Save(w io.Writer) error {
-	s := snapshot{
-		Version:  snapshotVersion,
-		Log:      m.log,
-		Order:    m.Order,
-		ValErr:   m.ValErr,
-		Coefs:    m.coefs,
-		BinEdges: m.edges,
-		HasBins:  m.edges != nil && m.hasBinCodes(),
-	}
+	s := snapshot{Version: snapshotVersion, Log: m.log, Order: m.Order, ValErr: m.ValErr, Coefs: m.coefs}
 	for _, fo := range m.subs {
 		sf := snapshotFO{Base: fo.base, LR: fo.lr, Trees: make([][]tree.FlatNode, len(fo.trees))}
 		for i, t := range fo.trees {
@@ -73,22 +52,8 @@ func (m *Model) Save(w io.Writer) error {
 	return nil
 }
 
-// hasBinCodes reports whether every tree of the model carries bin codes.
-func (m *Model) hasBinCodes() bool {
-	for _, fo := range m.subs {
-		for _, t := range fo.trees {
-			if !t.HasBinCodes() {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // Load reads a model previously written by Save, accepting any schema
-// version up to the current one, and compiles it. Version-2 snapshots
-// restore the bin edges and codes; version-1 snapshots reload without
-// them, and both predict and resume identically. A snapshot the compiled
+// version up to the current one, and compiles it. A snapshot the compiled
 // kernel cannot score — a tree with more than five splits, a feature with
 // 32,768 or more distinct thresholds, a split on a feature index of 2^16
 // or more — is rejected with an error. Feature-importance metadata is not
@@ -104,21 +69,11 @@ func Load(r io.Reader) (*Model, error) {
 	if len(s.Subs) == 0 || len(s.Coefs) != len(s.Subs) {
 		return nil, fmt.Errorf("hm: malformed snapshot: %d sub-models, %d coefficients", len(s.Subs), len(s.Coefs))
 	}
-	withCodes := s.HasBins && len(s.BinEdges) > 0
 	m := &Model{log: s.Log, Order: s.Order, ValErr: s.ValErr, coefs: s.Coefs}
-	if withCodes {
-		m.edges = s.BinEdges
-	}
 	for _, sf := range s.Subs {
 		fo := &firstOrder{base: sf.Base, lr: sf.LR}
 		for _, nodes := range sf.Trees {
-			var t *tree.Tree
-			var err error
-			if withCodes {
-				t, err = tree.FromFlatWithCodes(nodes)
-			} else {
-				t, err = tree.FromFlat(nodes)
-			}
+			t, err := tree.FromFlat(nodes)
 			if err != nil {
 				return nil, fmt.Errorf("hm: %w", err)
 			}

@@ -65,8 +65,7 @@ func Resume(m *Model, ds *model.Dataset, opt Options, extra int) error {
 	m.ens.predictSub(&trainB, last, pred)
 	valB := m.ens.space.encode(valDS.Features)
 	m.ens.predictSub(&valB, last, valPred)
-	// The counter keeps the name of the binned replay it once counted.
-	opt.Obs.Counter("hm.resume.binned.trees").Add(int64(len(fo.trees)))
+	opt.Obs.Counter("hm.resume.replayed.trees").Add(int64(len(fo.trees)))
 
 	saved, nTrees := *m, len(fo.trees)
 	restore := func(err error) error {
@@ -95,41 +94,9 @@ func Resume(m *Model, ds *model.Dataset, opt Options, extra int) error {
 	}
 	m.Order = len(m.subs)
 
-	// The new trees' bin codes refer to the resume builder's edges. If
-	// those differ from the edges the old trees were coded against, no
-	// single edge set describes the whole model any more: drop the edges,
-	// so a later Save persists without codes. Resuming over the same
-	// dataset and split — the common trajectory-continuation case —
-	// rebins identically, so the edges survive.
-	if m.edges != nil {
-		if newEdges := tr.builder.Edges(); edgesEqual(m.edges, newEdges) {
-			m.edges = newEdges
-		} else {
-			m.edges = nil
-		}
-	}
-
 	opt.Obs.Counter("hm.resumes").Inc()
 	opt.Obs.Counter("hm.resume.appended").Add(int64(appended))
 	opt.Obs.Counter("hm.trees").Add(int64(m.NumTrees()))
 	opt.Obs.Histogram("hm.resume.sec", nil).Observe(time.Since(start).Seconds())
 	return nil
-}
-
-// edgesEqual reports whether two per-feature edge sets are identical.
-func edgesEqual(a, b [][]float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for f := range a {
-		if len(a[f]) != len(b[f]) {
-			return false
-		}
-		for k, v := range a[f] {
-			if b[f][k] != v {
-				return false
-			}
-		}
-	}
-	return true
 }

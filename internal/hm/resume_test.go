@@ -15,7 +15,7 @@ import (
 // TestResumeAfterSaveLoadBitIdentical pins the persistence side of
 // training continuation: Train → Save → Load → Resume must leave the exact
 // model that Train → Resume leaves, with the reloaded model replaying its
-// trees through the compiled kernel (hm.resume.binned.trees counts every
+// trees through the compiled kernel (hm.resume.replayed.trees counts every
 // replayed tree).
 func TestResumeAfterSaveLoadBitIdentical(t *testing.T) {
 	ds := synthDS(600, 91)
@@ -42,7 +42,7 @@ func TestResumeAfterSaveLoadBitIdentical(t *testing.T) {
 	if err := Resume(loaded, ds, optR, 40); err != nil {
 		t.Fatal(err)
 	}
-	if reg.Counter("hm.resume.binned.trees").Value() == 0 {
+	if reg.Counter("hm.resume.replayed.trees").Value() == 0 {
 		t.Error("reloaded v2 model replayed no trees")
 	}
 	if fresh.NumTrees() != loaded.NumTrees() {
@@ -60,8 +60,8 @@ func TestResumeAfterSaveLoadBitIdentical(t *testing.T) {
 }
 
 // TestResumeLegacyV1Snapshot pins backward compatibility: a version-1
-// stream (no bin edges, no codes) must load, and Resume must continue it
-// to the same model the never-persisted one reaches.
+// stream must load, and Resume must continue it to the same model the
+// never-persisted one reaches.
 func TestResumeLegacyV1Snapshot(t *testing.T) {
 	ds := synthDS(600, 93)
 	opt := Options{Trees: 100, LearningRate: 0.1, TreeComplexity: 5, Seed: 11}
@@ -72,9 +72,6 @@ func TestResumeLegacyV1Snapshot(t *testing.T) {
 	legacy, err := Load(bytes.NewReader(encodeV1(t, m)))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if legacy.edges != nil {
-		t.Fatal("legacy snapshot should reload without edges")
 	}
 	if err := Resume(m, ds, opt, 30); err != nil {
 		t.Fatal(err)
@@ -90,9 +87,8 @@ func TestResumeLegacyV1Snapshot(t *testing.T) {
 	}
 }
 
-// encodeV1 writes m in the version-1 snapshot schema: no bin edges, no
-// codes. gob omits the zero-valued version-2 fields, so this is exactly
-// what the old schema wrote.
+// encodeV1 writes m in the version-1 snapshot schema, which has the
+// current snapshot's fields under version number 1.
 func encodeV1(t testing.TB, m *Model) []byte {
 	t.Helper()
 	s := snapshot{Version: 1, Log: m.log, Order: m.Order, ValErr: m.ValErr, Coefs: m.coefs}

@@ -246,8 +246,8 @@ func TestCompiledMatchesWalk(t *testing.T) {
 
 // resumedPastByteCodes trains a model and resumes it on datasets whose
 // feature 0 spans shifted ranges, so every resume grows trees against new
-// bin edges: the edges are dropped, and feature 0 ends up with more
-// distinct thresholds than an 8-bit code could index.
+// bin edges and feature 0 ends up with more distinct thresholds than an
+// 8-bit code could index.
 func resumedPastByteCodes(t *testing.T) *Model {
 	t.Helper()
 	shifted := func(n int, seed int64, shift float64) *model.Dataset {
@@ -269,9 +269,6 @@ func resumedPastByteCodes(t *testing.T) *Model {
 		if err := Resume(m, shifted(600, int64(k+1), 0.37*float64(k)), opt, 200); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if m.edges != nil {
-		t.Fatal("resume on new data kept the old bin edges")
 	}
 	if n := len(splitThresholds(m)[0]); n <= 127 {
 		t.Fatalf("feature 0 carries %d distinct thresholds, want > 127", n)

@@ -9,33 +9,24 @@ import (
 )
 
 // Forest persistence mirrors internal/hm's snapshot approach: the trees
-// flatten through the shared tree.FlatNode form (per-split bin codes
-// included when every tree carries them), gob-encoded behind a version
-// field so the schema can grow without breaking old streams.
+// flatten through the shared tree.FlatNode form (thresholds and leaves),
+// gob-encoded behind a version field so the schema can grow without
+// breaking old streams. Snapshots written before trees stored thresholds
+// alone also carry a HasBins flag and per-node bin codes; gob skips them
+// on decode.
 
 // snapshot is the serialized form of a Forest.
 type snapshot struct {
 	Version int
 	Log     bool
 	Trees   [][]tree.FlatNode
-	// HasBins records that every persisted node carries a valid Bin code
-	// (see the hm snapshot for why validity is a snapshot-level flag: a
-	// zero-decoded Bin is indistinguishable from a genuine bin 0).
-	HasBins bool
 }
 
 const snapshotVersion = 1
 
 // Save writes the forest to w.
 func (f *Forest) Save(w io.Writer) error {
-	s := snapshot{Version: snapshotVersion, Log: f.log, HasBins: true}
-	for _, t := range f.trees {
-		if !t.HasBinCodes() {
-			s.HasBins = false
-			break
-		}
-	}
-	s.Trees = make([][]tree.FlatNode, len(f.trees))
+	s := snapshot{Version: snapshotVersion, Log: f.log, Trees: make([][]tree.FlatNode, len(f.trees))}
 	for i, t := range f.trees {
 		s.Trees[i] = t.Flatten()
 	}
@@ -45,9 +36,10 @@ func (f *Forest) Save(w io.Writer) error {
 	return nil
 }
 
-// Load reads a forest previously written by Save. Bin codes are restored
-// through the same tree.FromFlatWithCodes machinery the hm snapshot uses;
-// prediction is bit-identical to the forest that was saved either way.
+// Load reads a forest previously written by Save; prediction is
+// bit-identical to the forest that was saved. A split on a feature index
+// of tree.MaxFeatures or more is rejected with an error, so a corrupt
+// stream cannot make a caller size its feature vectors without bound.
 func Load(r io.Reader) (*Forest, error) {
 	var s snapshot
 	if err := gob.NewDecoder(r).Decode(&s); err != nil {
@@ -61,13 +53,7 @@ func Load(r io.Reader) (*Forest, error) {
 	}
 	f := &Forest{log: s.Log}
 	for _, nodes := range s.Trees {
-		var t *tree.Tree
-		var err error
-		if s.HasBins {
-			t, err = tree.FromFlatWithCodes(nodes)
-		} else {
-			t, err = tree.FromFlat(nodes)
-		}
+		t, err := tree.FromFlat(nodes)
 		if err != nil {
 			return nil, fmt.Errorf("rf: %w", err)
 		}

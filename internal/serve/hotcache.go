@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -144,6 +145,11 @@ type cacheState struct {
 	latest map[string]*hotModel
 }
 
+// clone returns a copy of s for a writer to modify and publish.
+func (s *cacheState) clone() *cacheState {
+	return &cacheState{byKey: maps.Clone(s.byKey), latest: maps.Clone(s.latest)}
+}
+
 // ModelCache is the hot-model cache over a ModelRegistry. Reads
 // (Entry) are wait-free against writers; faults, registration refreshes
 // and evictions serialize on mu and publish with one atomic swap.
@@ -272,17 +278,7 @@ func (c *ModelCache) newHotModel(mdl model.Model, meta ModelMeta) *hotModel {
 // version a client asked for by number says nothing about whether it is
 // the registry's latest. Caller holds c.mu.
 func (c *ModelCache) installLocked(h *hotModel, promote bool) {
-	old := c.state.Load()
-	st := &cacheState{
-		byKey:  make(map[modelKey]*hotModel, len(old.byKey)+1),
-		latest: make(map[string]*hotModel, len(old.latest)+1),
-	}
-	for k, v := range old.byKey {
-		st.byKey[k] = v
-	}
-	for k, v := range old.latest {
-		st.latest[k] = v
-	}
+	st := c.state.Load().clone()
 	name := h.meta.Name
 	st.byKey[modelKey{name, h.meta.Version}] = h
 	if cur, ok := st.latest[name]; promote && (!ok || h.meta.Version > cur.meta.Version) {
@@ -360,6 +356,22 @@ func (c *ModelCache) pinLatestLocked(name string) bool {
 	}
 	c.installLocked(c.newHotModel(mdl, meta), true)
 	return true
+}
+
+// Prune is the ModelRegistry.SetOnPrune hook, called for every version
+// registry GC deletes. It unpins (name, version), so a deleted version
+// stops answering explicit-version predicts, and drops it from latest if
+// it is name's latest, so the next version-0 read faults in the
+// registry's latest. A hotModel a request already holds stays usable.
+func (c *ModelCache) Prune(name string, version int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st := c.state.Load().clone()
+	delete(st.byKey, modelKey{name, version})
+	if cur := st.latest[name]; cur != nil && cur.meta.Version == version {
+		delete(st.latest, name)
+	}
+	c.state.Store(st)
 }
 
 // WarmAll pins every model's current registry latest — daemon-startup

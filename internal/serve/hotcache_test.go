@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -422,6 +423,56 @@ func TestHotCacheGCDropsSearchCaches(t *testing.T) {
 	}
 	if late := mgr.cacheFor("m", 1, 30); late == shared || cached(1) {
 		t.Fatal("a search of pruned m@v1 was handed a cache the manager keeps")
+	}
+}
+
+// TestHotCacheGCUnpinsPrunedVersions pins the prune hook's cache side:
+// a version registry GC deletes is unpinned, so explicit-version reads
+// of it fail as they do against the registry, and a pruned latest is
+// dropped, so the next version-0 read faults in the registry's latest.
+func TestHotCacheGCUnpinsPrunedVersions(t *testing.T) {
+	s, err := NewServerOpts(t.TempDir(), ServerOptions{Workers: 1, GCKeepVersions: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	reg, c := s.Manager().Models(), s.Cache()
+	version := func(v int) int {
+		t.Helper()
+		h, err := c.Entry("m", v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h.Meta().Version
+	}
+	gone := func(v int) {
+		t.Helper()
+		if _, err := c.Entry("m", v); err == nil || !strings.Contains(err.Error(), "not found") {
+			t.Fatalf("Entry(m, %d) after GC pruned it: err %v, want not found", v, err)
+		}
+	}
+	saveJobModel(t, reg, "m", 1, 901)
+	if version(0) != 1 {
+		t.Fatal("first version-0 read did not pin m@v1")
+	}
+	// A job's save of v2 prunes v1, the pinned latest: nothing stays
+	// pinned until the next version-0 read faults v2 in.
+	saveJobModel(t, reg, "m", 2, 902)
+	gone(1)
+	if n := c.Pinned(); n != 0 {
+		t.Fatalf("Pinned() = %d after GC pruned the only pinned version, want 0", n)
+	}
+	if version(0) != 2 {
+		t.Fatal("version-0 read after the prune did not fault in m@v2")
+	}
+	// A save outside any job pins v3 at once; the prune of v2 leaves it.
+	saveTinyModel(t, reg, "m", 3, 903)
+	gone(2)
+	if n := c.Pinned(); n != 1 {
+		t.Fatalf("Pinned() = %d, want 1 (m@v3)", n)
+	}
+	if version(0) != 3 {
+		t.Fatal("version-0 read does not serve m@v3")
 	}
 }
 

@@ -48,9 +48,8 @@ func (m ModelMeta) backendName() string {
 // ModelRegistry is the daemon's versioned model store. Layout:
 //
 //	<dir>/<name>/v<N>.model   — the backend's snapshot (for hm, the v2
-//	                            format: edges + bin codes, so a loaded
-//	                            model warm-starts through hm.Resume's
-//	                            binned replay)
+//	                            format, whose trees a loaded model
+//	                            replays to warm-start through hm.Resume)
 //	<dir>/<name>/v<N>.json    — ModelMeta, whose Backend field names the
 //	                            codec that wrote the .model stream
 //
@@ -190,7 +189,8 @@ func (r *ModelRegistry) SetOnSave(fn func(meta ModelMeta)) {
 
 // SetOnPrune registers a hook invoked (outside the registry lock) with
 // every (name, version) that version GC deletes. The job manager points
-// it at its search-cache drop.
+// it at its search-cache drop; the daemon also unpins the version from
+// its hot model cache.
 func (r *ModelRegistry) SetOnPrune(fn func(name string, version int)) {
 	r.mu.Lock()
 	r.onPrune = fn

@@ -141,6 +141,12 @@ func NewServerOpts(dataDir string, opt ServerOptions) (*Server, error) {
 	// New registrations (train/tune jobs) swap into the cache as they
 	// land, so version-0 predicts follow retrains immediately.
 	mgr.Models().SetOnSave(s.cache.Refresh)
+	// Versions registry GC deletes leave the cache with the manager's
+	// search caches.
+	mgr.Models().SetOnPrune(func(name string, version int) {
+		mgr.dropCaches(name, version)
+		s.cache.Prune(name, version)
+	})
 	// Warm every registry latest now, instead of faulting decodes on the
 	// first predicts after a restart.
 	s.cache.WarmAll()

@@ -56,8 +56,8 @@ func TestAccumulateBatchMatchesLoop(t *testing.T) {
 	}
 }
 
-// TestAccumulateBinnedMatchesBatch pins the bin codes a grown tree
-// carries: walking them over binned rows — the builder's own matrix or
+// TestAccumulateBinnedMatchesBatch pins the bin codes a grown tree's
+// thresholds index: walking them over binned rows — the builder's own matrix or
 // external rows encoded with Builder.Bin — must agree bit-for-bit with
 // the float-walk update.
 func TestAccumulateBinnedMatchesBatch(t *testing.T) {
@@ -86,7 +86,7 @@ func TestAccumulateBinnedMatchesBatch(t *testing.T) {
 				got[i] = want[i]
 			}
 			tr.AccumulateBatch(tc.rows, scale, want)
-			tr.AccumulateBinned(tc.bm, scale, got)
+			tr.AccumulateBinned(b.edges, tc.bm, scale, got)
 			for i := range want {
 				if want[i] != got[i] {
 					t.Fatalf("opt %+v row %d: batch=%v binned=%v", opt, i, want[i], got[i])

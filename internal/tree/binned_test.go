@@ -2,11 +2,12 @@ package tree
 
 import "sort"
 
-// The binned walk is test-only: it evaluates a tree by comparing the
-// per-split bin codes against rows encoded into the builder's bins. It
-// proves that the codes a tree carries — and that snapshots persist
-// through Flatten/FromFlatWithCodes — index the builder's edges exactly:
-// a walk on codes must reach the leaf the float walk reaches.
+// The binned walk is test-only: it evaluates a tree by comparing rows
+// encoded into a builder's bins against each split's bin, derived from
+// the split's threshold as its index among the builder's edges. It
+// proves that every threshold a Builder grows — and that snapshots
+// persist through Flatten/FromFlat — is exactly one of that feature's
+// edges: a walk on codes must reach the leaf the float walk reaches.
 
 // BinMatrix is a set of rows encoded into a Builder's histogram bins, one
 // uint8 column per feature.
@@ -54,16 +55,31 @@ func (b *Builder) code(f, i int) uint8 {
 	return uint8(col[i] >> t)
 }
 
+// splitBin returns the bin whose upper edge is thresh among edges[f]. It
+// panics if thresh is not one of those edges.
+func splitBin(edges [][]float64, f int32, thresh float64) uint8 {
+	bin := sort.SearchFloat64s(edges[f], thresh)
+	if bin == len(edges[f]) || edges[f][bin] != thresh {
+		panic("tree: split threshold is not one of its feature's edges")
+	}
+	return uint8(bin)
+}
+
 // AccumulateBinned adds scale × prediction to out[r] for every row of bm,
-// walking the tree on bin codes. It panics on a tree without codes.
-func (t *Tree) AccumulateBinned(bm *BinMatrix, scale float64, out []float64) {
-	if !t.HasBinCodes() {
-		panic("tree: AccumulateBinned on a tree without bin codes")
+// walking the tree on bin codes: each split's bin is its threshold's
+// index among edges, the edges bm was encoded against. It panics if a
+// split threshold is not one of its feature's edges.
+func (t *Tree) AccumulateBinned(edges [][]float64, bm *BinMatrix, scale float64, out []float64) {
+	bins := make([]uint8, len(t.feature))
+	for i, f := range t.feature {
+		if f >= 0 {
+			bins[i] = splitBin(edges, f, t.thresh[i])
+		}
 	}
 	for r := 0; r < bm.n; r++ {
 		i := int32(0)
 		for t.feature[i] >= 0 {
-			if bm.cols[t.feature[i]][r] <= t.bins[i] {
+			if bm.cols[t.feature[i]][r] <= bins[i] {
 				i = t.left[i]
 			} else {
 				i = t.right[i]

@@ -49,7 +49,7 @@ func exactGrow(b *Builder, y []float64, idx []int, opt Options, rng *rand.Rand) 
 		}
 		left := &leaf{node: t.addLeaf(meanAt(y, li)), idx: li}
 		right := &leaf{node: t.addLeaf(meanAt(y, ri)), idx: ri}
-		t.setSplit(l.node, l.feature, b.edges[l.feature][l.bin], uint8(l.bin), left.node, right.node)
+		t.setSplit(l.node, l.feature, b.edges[l.feature][l.bin], left.node, right.node)
 		if splits+1 < opt.maxSplits() {
 			search(left)
 			search(right)

@@ -148,25 +148,23 @@ func TestHistCounters(t *testing.T) {
 }
 
 // TestFastGrownPersistRoundTrip is the S4 coverage: trees grown by the
-// fast path — subtract and sampled modes — must survive
-// Flatten/FromFlatWithCodes with bit-identical predictions and codes
-// that still walk to the same leaves against re-encoded edges.
+// fast path — subtract and sampled modes — must survive Flatten/FromFlat
+// with bit-identical predictions and thresholds whose bin codes still
+// walk to the same leaves against re-encoded edges.
 func TestFastGrownPersistRoundTrip(t *testing.T) {
 	X, y := histDataset(700, 14, 51)
 	b := NewBuilder(X)
 	probes, _ := histDataset(150, 14, 52)
-	bm := BinWithEdges(b.Edges(), probes)
+	edges := b.Edges()
+	bm := BinWithEdges(edges, probes)
 	for _, opt := range []Options{
 		{MaxSplits: 9},
 		{MaxSplits: 31, MinLeaf: 3, FeatureFrac: 1.0 / 3},
 	} {
 		orig := b.Grow(y, allIdx(700), opt, rand.New(rand.NewSource(9)))
-		back, err := FromFlatWithCodes(orig.Flatten())
+		back, err := FromFlat(orig.Flatten())
 		if err != nil {
 			t.Fatal(err)
-		}
-		if !back.HasBinCodes() {
-			t.Fatal("round-tripped tree lost bin codes")
 		}
 		want := make([]float64, len(probes))
 		got := make([]float64, len(probes))
@@ -178,7 +176,7 @@ func TestFastGrownPersistRoundTrip(t *testing.T) {
 			}
 		}
 		binned := make([]float64, len(probes))
-		back.AccumulateBinned(bm, 1, binned)
+		back.AccumulateBinned(edges, bm, 1, binned)
 		for i := range want {
 			if binned[i] != want[i] {
 				t.Fatalf("opt %+v probe %d: binned %v != float %v", opt, i, binned[i], want[i])

@@ -13,17 +13,11 @@ type FlatNode struct {
 	Right     int32
 	Value     float64
 	Leaf      bool
-	// Bin is the histogram bin whose upper edge equals Threshold, for
-	// split nodes grown by a Builder. Snapshots older than the field
-	// gob-decode it as zero — indistinguishable from a genuine bin 0 —
-	// so validity is signaled at the snapshot level, not per node:
-	// FromFlat ignores Bin and FromFlatWithCodes must only be used when
-	// the enclosing snapshot recorded that codes are present.
-	Bin uint8
+	// Snapshots written before thresholds were all a tree stored also
+	// carry a per-node Bin field; gob skips it on decode.
 }
 
-// Flatten returns the tree's nodes in storage order, including the
-// per-split bin codes when the tree carries them.
+// Flatten returns the tree's nodes in storage order.
 func (t *Tree) Flatten() []FlatNode {
 	out := make([]FlatNode, len(t.feature))
 	for i := range out {
@@ -38,14 +32,15 @@ func (t *Tree) Node(i int) FlatNode {
 	if t.feature[i] < 0 {
 		return FlatNode{Value: t.thresh[i], Leaf: true}
 	}
-	n := FlatNode{Feature: t.feature[i], Threshold: t.thresh[i], Left: t.left[i], Right: t.right[i]}
-	if len(t.bins) == len(t.feature) {
-		n.Bin = t.bins[i]
-	}
-	return n
+	return FlatNode{Feature: t.feature[i], Threshold: t.thresh[i], Left: t.left[i], Right: t.right[i]}
 }
 
-// FromFlat rebuilds a tree from its flattened form, discarding bin codes.
+// MaxFeatures bounds the split feature indices FromFlat accepts. No
+// configuration space comes near it; a stored tree beyond it is corrupt,
+// and predicting on it would need a feature vector that wide.
+const MaxFeatures = 1 << 16
+
+// FromFlat rebuilds a tree from its flattened form.
 // Every split's children must sit at higher indices than the split
 // itself, as Flatten emits them, so any walk from the root ends at a
 // leaf.
@@ -77,33 +72,13 @@ func FromFlat(nodes []FlatNode) (*Tree, error) {
 		if int(n.Left) <= i || int(n.Right) <= i {
 			return nil, fmt.Errorf("tree: node %d has child %d/%d not after it", i, n.Left, n.Right)
 		}
-		if n.Feature < 0 {
-			return nil, fmt.Errorf("tree: node %d has negative feature", i)
+		if n.Feature < 0 || n.Feature >= MaxFeatures {
+			return nil, fmt.Errorf("tree: node %d splits on feature %d, want 0..%d", i, n.Feature, MaxFeatures-1)
 		}
 		t.feature[i] = n.Feature
 		t.thresh[i] = n.Threshold
 		t.left[i] = n.Left
 		t.right[i] = n.Right
-	}
-	return t, nil
-}
-
-// FromFlatWithCodes rebuilds a tree including its per-split bin codes,
-// which index the edges its builder used (persisted alongside the trees
-// by internal/hm's snapshot), so a saved code set survives a reload and a
-// re-save. Use only when the enclosing snapshot recorded that codes are
-// valid: older snapshots decode every Bin field as zero, which FromFlat
-// safely drops.
-func FromFlatWithCodes(nodes []FlatNode) (*Tree, error) {
-	t, err := FromFlat(nodes)
-	if err != nil {
-		return nil, err
-	}
-	t.bins = make([]uint8, len(nodes))
-	for i, n := range nodes {
-		if !n.Leaf {
-			t.bins[i] = n.Bin
-		}
 	}
 	return t, nil
 }

@@ -60,8 +60,9 @@ func pinDataset(n, d int, seed int64) ([][]float64, []float64) {
 	return X, y
 }
 
-// hashTree feeds a tree's flattened nodes and per-feature gains to h.
-func hashTree(h hash.Hash, tr *Tree) {
+// hashTree feeds a tree's flattened nodes, each split's bin among edges
+// and the per-feature gains to h.
+func hashTree(h hash.Hash, tr *Tree, edges [][]float64) {
 	var buf [8]byte
 	put := func(v uint64) {
 		binary.LittleEndian.PutUint64(buf[:], v)
@@ -75,11 +76,11 @@ func hashTree(h hash.Hash, tr *Tree) {
 		put(uint64(uint32(nd.Left)))
 		put(uint64(uint32(nd.Right)))
 		put(math.Float64bits(nd.Value))
-		leaf := uint64(0)
 		if nd.Leaf {
-			leaf = 1
+			put(1 << 8)
+		} else {
+			put(uint64(splitBin(edges, nd.Feature, nd.Threshold)))
 		}
-		put(leaf<<8 | uint64(nd.Bin))
 	}
 	put(uint64(len(tr.Gains())))
 	for _, g := range tr.Gains() {
@@ -113,7 +114,7 @@ func TestGrowPinned(t *testing.T) {
 							for _, workers := range []int{1, 4} {
 								opt := Options{MaxSplits: tc, MinLeaf: minLeaf, FeatureFrac: frac, Workers: workers}
 								rng := rand.New(rand.NewSource(int64(tc*10 + minLeaf)))
-								hashTree(h, b.Grow(y, idx, opt, rng))
+								hashTree(h, b.Grow(y, idx, opt, rng), b.edges)
 								var buf [8]byte
 								binary.LittleEndian.PutUint64(buf[:], uint64(rng.Int63()))
 								h.Write(buf[:])

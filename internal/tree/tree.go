@@ -66,10 +66,6 @@ type Tree struct {
 	thresh  []float64
 	left    []int32
 	right   []int32
-	// bins holds, for split nodes grown by a Builder, the histogram bin
-	// whose edge is the node's threshold. Snapshots persist it (Flatten,
-	// FromFlatWithCodes); nil for trees reloaded without codes.
-	bins []uint8
 	// leaves caches the leaf count so NumLeaves is O(1).
 	leaves int
 	// gains accumulates the SSE reduction attributed to each feature's
@@ -118,13 +114,6 @@ func (t *Tree) AccumulateBatch(X [][]float64, scale float64, out []float64) {
 			}
 		}
 	}
-}
-
-// HasBinCodes reports whether the tree carries per-split bin codes: true
-// for trees grown in-process by a Builder and for trees reloaded via
-// FromFlatWithCodes, false after FromFlat.
-func (t *Tree) HasBinCodes() bool {
-	return len(t.feature) > 0 && len(t.bins) == len(t.feature)
 }
 
 // NumNodes returns the total node count (splits + leaves).
@@ -246,8 +235,7 @@ func (b *Builder) N() int { return b.n }
 
 // Edges returns a copy of the per-feature histogram bin edges derived
 // from the builder's design matrix. Every split threshold of a tree the
-// builder grows is one of these edges, and a split's bin code is its
-// threshold's index among them.
+// builder grows is one of these edges; trees store the thresholds alone.
 func (b *Builder) Edges() [][]float64 {
 	out := make([][]float64, len(b.edges))
 	for f, e := range b.edges {
@@ -330,7 +318,7 @@ func (b *Builder) Grow(y []float64, idx []int, opt Options, rng *rand.Rand) *Tre
 		}
 		ln := t.addLeaf(meanAt(y, li))
 		rn := t.addLeaf(meanAt(y, ri))
-		t.setSplit(lr.node, f, thresh, uint8(bin), ln, rn)
+		t.setSplit(lr.node, f, thresh, ln, rn)
 
 		leftRec := &leafRec{node: ln, idx: li}
 		rightRec := &leafRec{node: rn, idx: ri}
@@ -359,7 +347,6 @@ func (t *Tree) reserve(n int) {
 	t.left = ids[n : n : 2*n]
 	t.right = ids[2*n : 2*n : 3*n]
 	t.thresh = make([]float64, 0, n)
-	t.bins = make([]uint8, 0, n)
 }
 
 func (t *Tree) addLeaf(v float64) int32 {
@@ -367,17 +354,14 @@ func (t *Tree) addLeaf(v float64) int32 {
 	t.thresh = append(t.thresh, v)
 	t.left = append(t.left, 0)
 	t.right = append(t.right, 0)
-	t.bins = append(t.bins, 0)
 	t.leaves++
 	return int32(len(t.feature) - 1)
 }
 
-// setSplit converts leaf n into an internal split node whose threshold is
-// the upper edge of histogram bin.
-func (t *Tree) setSplit(n int32, f int, thresh float64, bin uint8, ln, rn int32) {
+// setSplit converts leaf n into a split on feature f at thresh.
+func (t *Tree) setSplit(n int32, f int, thresh float64, ln, rn int32) {
 	t.feature[n] = int32(f)
 	t.thresh[n] = thresh
-	t.bins[n] = bin
 	t.left[n] = ln
 	t.right[n] = rn
 	t.leaves--
