@@ -23,8 +23,7 @@ import (
 // in the batch it sat. That is what the equivalence suite asserts per
 // backend at GOMAXPROCS 1 and 4.
 type coalescer struct {
-	window   time.Duration
-	maxBatch int
+	window time.Duration
 
 	mu  sync.Mutex
 	cur *predBatch
@@ -32,6 +31,9 @@ type coalescer struct {
 	batches *obs.Counter
 	sizes   *obs.Histogram
 }
+
+// maxBatch flushes a batch early once it has this many rows.
+const maxBatch = 64
 
 // predBatch is one in-flight gather. rows is appended under the
 // coalescer's mutex only while the batch is attached (cur == b); the
@@ -59,7 +61,7 @@ func (co *coalescer) predict(m model.Model, x []float64) float64 {
 	}
 	idx := len(b.rows)
 	b.rows = append(b.rows, x)
-	if len(b.rows) >= co.maxBatch {
+	if len(b.rows) >= maxBatch {
 		co.cur = nil // detach: nothing more may join
 		close(b.full)
 	}

@@ -11,15 +11,6 @@ import (
 	"repro/internal/workloads"
 )
 
-// SetFleet attaches a coordinator: collect jobs submitted after this
-// shard across its registered workers whenever any are live, and fall
-// back to the local pool when none are. Called once at daemon startup
-// (before jobs run), so no locking.
-func (m *Manager) SetFleet(c *fleet.Coordinator) { m.fleet = c }
-
-// Fleet returns the attached coordinator (nil without -coordinator).
-func (m *Manager) Fleet() *fleet.Coordinator { return m.fleet }
-
 // collectFleet is collectDurable's sharded path: the sweep's pending
 // rows run on the fleet via the coordinator, merged rows land in the
 // same journal through the same hooks the local path uses, and the

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -172,6 +173,35 @@ func TestFleetFallsBackToLocalPoolWithoutWorkers(t *testing.T) {
 	if string(got) != string(want) {
 		t.Fatal("local-fallback CSV differs from reference")
 	}
+}
+
+// TestRestartWiresBeforeAdoptedJobs restarts a coordinator-enabled
+// daemon over a data directory that holds an unfinished collect job.
+// The adopted job runs to done, and it must not start before the daemon
+// is wired: run under -race, a worker that reads the manager's
+// coordinator while the constructor still sets it is a data race.
+func TestRestartWiresBeforeAdoptedJobs(t *testing.T) {
+	dataDir := t.TempDir()
+	// The previous daemon persisted the job as running, then died.
+	b, err := json.Marshal(Job{ID: 1, Spec: fleetSpec, State: StateRunning, SpecHash: specHash(fleetSpec)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dataDir, "jobs"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dataDir, "jobs", "1.json"), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewServerOpts(dataDir, ServerOptions{Workers: 1, Fleet: FleetOptions{Enabled: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	waitFor(t, 60*time.Second, func() bool {
+		j, ok := s.Manager().Get(1)
+		return ok && j.State == StateDone
+	})
 }
 
 // The shared secret gates every mutating endpoint; reads stay open.

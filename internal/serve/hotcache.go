@@ -21,12 +21,13 @@ import (
 // construction; only the state pointer is swapped).
 //
 // A version is decoded and pinned when a client first asks for it, not
-// when a job registers it. The registry's save hook (Refresh) swaps a
-// job's new version in only for names that already have a pinned latest,
-// so a daemon whose jobs register models nobody predicts against holds
-// none of them: each such registration costs its file write and nothing
-// more. A model a program registers through Save itself, outside any
-// job, is registered to be served and is pinned at once.
+// when a job registers it. The registry's save hook (Refresh), which also
+// unpins the versions registry GC pruned, swaps a job's new version in
+// only for names that already have a pinned latest, so a daemon whose
+// jobs register models nobody predicts against holds none of them: each
+// such registration costs its file write and nothing more. A model a
+// program registers through Save itself, outside any job, is registered
+// to be served and is pinned at once.
 //
 // Each pinned entry carries its own prediction memo (memo.go, keyed on
 // the request vector's exact feature bits) and its own coalescer
@@ -43,9 +44,6 @@ type ServingOptions struct {
 	// company before flushing (default 200µs; negative flushes
 	// immediately, coalescing only what arrived in the meantime).
 	CoalesceWindow time.Duration
-	// MaxBatch flushes a batch early once it has this many rows
-	// (default 64).
-	MaxBatch int
 	// KeepOldVersions bounds how many non-latest versions per model stay
 	// pinned; the least recently used is evicted first. The latest
 	// version of a served model is always pinned. Only models a client
@@ -65,7 +63,6 @@ type ServingOptions struct {
 
 const (
 	defaultCoalesceWindow  = 200 * time.Microsecond
-	defaultMaxBatch        = 64
 	defaultKeepOldVersions = 4
 	defaultMemoCap         = 1 << 18
 )
@@ -77,9 +74,6 @@ func (o ServingOptions) withDefaults() ServingOptions {
 	}
 	if o.CoalesceWindow < 0 {
 		o.CoalesceWindow = 0
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = defaultMaxBatch
 	}
 	if o.KeepOldVersions == 0 {
 		o.KeepOldVersions = defaultKeepOldVersions
@@ -175,7 +169,8 @@ var batchSizeBounds = []float64{1, 2, 4, 8, 16, 32, 64, 128}
 // NewModelCache builds an empty cache over reg, recording its hit/miss,
 // eviction, memo, and coalescing metrics into r (nil disables metrics).
 // Wire reg.SetOnSave(c.Refresh) to have new registrations of served
-// names, and registrations made outside a job, swapped in as they land.
+// names, and registrations made outside a job, swapped in, and the
+// versions registry GC prunes unpinned, as they land.
 // Without the hook, version-0 reads serve the pinned latest as it
 // stands. Either way the first version-0 read of a name with no pinned
 // latest faults in its registry latest.
@@ -200,20 +195,22 @@ func NewModelCache(reg *ModelRegistry, opt ServingOptions, r *obs.Registry) *Mod
 	return c
 }
 
+// lookup resolves (name, version) in s: version 0 selects name's pinned
+// latest.
+func (s *cacheState) lookup(name string, version int) *hotModel {
+	if version == 0 {
+		return s.latest[name]
+	}
+	return s.byKey[modelKey{name, version}]
+}
+
 // Entry resolves (name, version) to a pinned model, faulting it in from
 // the registry on a miss. version 0 selects name's pinned latest, which
 // the first version-0 read faults in from the registry and the Refresh
 // hook keeps current from then on. The hot path — a hit — is one atomic
 // load and one map read.
 func (c *ModelCache) Entry(name string, version int) (*hotModel, error) {
-	st := c.state.Load()
-	var h *hotModel
-	if version == 0 {
-		h = st.latest[name]
-	} else {
-		h = st.byKey[modelKey{name, version}]
-	}
-	if h != nil {
+	if h := c.state.Load().lookup(name, version); h != nil {
 		c.hits.Inc()
 		h.lastUsed.Store(c.tick.Add(1))
 		return h, nil
@@ -228,28 +225,27 @@ func (c *ModelCache) fault(name string, version int) (*hotModel, error) {
 	defer c.mu.Unlock()
 	// Another request may have faulted the same version in while we
 	// waited for the writer lock.
-	st := c.state.Load()
-	var h *hotModel
-	if version == 0 {
-		h = st.latest[name]
-	} else {
-		h = st.byKey[modelKey{name, version}]
-	}
-	if h != nil {
+	cur := c.state.Load()
+	if h := cur.lookup(name, version); h != nil {
 		h.lastUsed.Store(c.tick.Add(1))
 		return h, nil
 	}
-	mdl, meta, err := c.reg.Load(name, version)
-	if err != nil {
-		return nil, err
-	}
-	// The same decoded version may already be pinned when the request
-	// asked for version 0 and the cached latest lags the registry, or an
-	// explicit-version read pinned it.
-	if h = st.byKey[modelKey{meta.Name, meta.Version}]; h == nil {
+	st := cur.clone()
+	var h *hotModel
+	if version == 0 {
+		var err error
+		if h, _, err = c.pinLatestLocked(st, name); err != nil {
+			return nil, err
+		}
+	} else {
+		mdl, meta, err := c.reg.Load(name, version)
+		if err != nil {
+			return nil, err
+		}
 		h = c.newHotModel(mdl, meta)
+		c.installLocked(st, h)
 	}
-	c.installLocked(h, version == 0)
+	c.state.Store(st)
 	return h, nil
 }
 
@@ -259,10 +255,9 @@ func (c *ModelCache) newHotModel(mdl model.Model, meta ModelMeta) *hotModel {
 		meta:  meta,
 		memo:  newMemo(c.opt.MemoCap, c.memoEvictions),
 		co: &coalescer{
-			window:   c.opt.CoalesceWindow,
-			maxBatch: c.opt.MaxBatch,
-			batches:  c.batches,
-			sizes:    c.batchSize,
+			window:  c.opt.CoalesceWindow,
+			batches: c.batches,
+			sizes:   c.batchSize,
 		},
 		cache: c,
 	}
@@ -270,20 +265,37 @@ func (c *ModelCache) newHotModel(mdl model.Model, meta ModelMeta) *hotModel {
 	return h
 }
 
-// installLocked publishes h in a new state snapshot: pin it by key,
-// promote it to latest if promote is set and it is the highest version
-// seen (latest never moves backwards, so version-0 responses stay
-// monotonic), and evict the least recently used old versions beyond the
-// per-name bound. Only version-0 faults, Refresh and WarmAll promote: a
-// version a client asked for by number says nothing about whether it is
-// the registry's latest. Caller holds c.mu.
-func (c *ModelCache) installLocked(h *hotModel, promote bool) {
-	st := c.state.Load().clone()
+// pinLatestLocked pins name's current registry latest in st and promotes
+// it to latest, unless latest already holds that version or a newer one:
+// latest never moves backwards, so version-0 responses stay monotonic.
+// It returns name's latest after the call and whether it decoded a
+// version that was not pinned before. Version-0 faults, Refresh and
+// WarmAll all pin through here; a version a client asked for by number
+// says nothing about whether it is the registry's latest. Caller holds
+// c.mu and publishes st.
+func (c *ModelCache) pinLatestLocked(st *cacheState, name string) (*hotModel, bool, error) {
+	mdl, meta, err := c.reg.Load(name, 0)
+	if err != nil {
+		return nil, false, err
+	}
+	if cur, ok := st.latest[name]; ok && cur.meta.Version >= meta.Version {
+		return cur, false, nil
+	}
+	h, decoded := st.byKey[modelKey{meta.Name, meta.Version}], false
+	if h == nil {
+		h, decoded = c.newHotModel(mdl, meta), true
+	}
+	st.latest[meta.Name] = h
+	c.installLocked(st, h)
+	return h, decoded, nil
+}
+
+// installLocked pins h by key in st and evicts the least recently used
+// old versions of its name beyond the per-name bound. Caller holds c.mu
+// and publishes st.
+func (c *ModelCache) installLocked(st *cacheState, h *hotModel) {
 	name := h.meta.Name
 	st.byKey[modelKey{name, h.meta.Version}] = h
-	if cur, ok := st.latest[name]; promote && (!ok || h.meta.Version > cur.meta.Version) {
-		st.latest[name] = h
-	}
 	// LRU bound on this name's non-latest versions. While no version-0
 	// read has pinned a latest, the version just installed stands in for
 	// it, so a name keeps at most KeepOldVersions+1 versions either way
@@ -310,66 +322,44 @@ func (c *ModelCache) installLocked(h *hotModel, promote bool) {
 		olds = olds[:len(olds)-1]
 		c.evictions.Inc()
 	}
-	c.state.Store(st)
 }
 
-// Refresh is the ModelRegistry.SetOnSave hook, called after every
-// successful Save with the new version's metadata. It pins the new
-// registry latest and swaps it in, so a retrain becomes visible to
-// version-0 readers with one pointer swap and zero reader stalls, when
-// the name is served — it has a pinned latest, from a version-0 read or
-// WarmAll — or when no job made the registration (meta.Job is 0): a
-// program that registers a model through Save itself does so to serve
-// it, and its first predict is answered from memory as after WarmAll. A
-// job's registration of any other name it leaves alone without reading
-// the registry: the name's first version-0 read faults in the registry
+// Refresh is the registry's save hook, called once after every
+// successful Save with the new version's metadata and the versions
+// registry GC pruned after it. In one pass under mu, it first decides
+// whether the name is served (it has a pinned latest, from a version-0
+// read or WarmAll), then unpins the pruned versions, so they stop
+// answering explicit-version predicts as they stop loading from the
+// registry. Then, when the name was served or no job made the
+// registration (meta.Job is 0: a program that registers a model through
+// Save itself does so to serve it), it pins the new registry latest and
+// swaps it in. Readers see one atomic swap, so a retrain becomes visible
+// to version-0 readers with zero reader stalls, even when GC pruned the
+// latest it replaces. A job's registration of an unserved name pins
+// nothing: the name's first version-0 read faults in the registry
 // latest, which Save wrote before the hook ran. Deciding under mu orders
 // Refresh against a first fault: either the fault's Load sees the new
 // version, or its latest is installed before Refresh looks. A load
-// failure leaves the previous state serving; the next Entry fault
-// retries.
-func (c *ModelCache) Refresh(meta ModelMeta) {
+// failure leaves the previous state serving, less the pruned versions;
+// the next Entry fault retries.
+func (c *ModelCache) Refresh(meta ModelMeta, pruned []int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, served := c.state.Load().latest[meta.Name]; !served && meta.Job != 0 {
+	cur := c.state.Load()
+	_, served := cur.latest[meta.Name]
+	pin := served || meta.Job == 0
+	if !pin && len(pruned) == 0 {
 		return
 	}
-	c.pinLatestLocked(meta.Name)
-}
-
-// pinLatestLocked pins name's current registry latest and promotes it to
-// latest, unless latest already holds that version or a newer one. It
-// reports whether it decoded and pinned a version that was not pinned
-// before. Caller holds c.mu.
-func (c *ModelCache) pinLatestLocked(name string) bool {
-	mdl, meta, err := c.reg.Load(name, 0)
-	if err != nil {
-		return false
+	st := cur.clone()
+	for _, v := range pruned {
+		delete(st.byKey, modelKey{meta.Name, v})
+		if h := st.latest[meta.Name]; h != nil && h.meta.Version == v {
+			delete(st.latest, meta.Name)
+		}
 	}
-	st := c.state.Load()
-	if cur, ok := st.latest[name]; ok && cur.meta.Version >= meta.Version {
-		return false
-	}
-	if h, ok := st.byKey[modelKey{meta.Name, meta.Version}]; ok {
-		c.installLocked(h, true) // already pinned: just promote to latest
-		return false
-	}
-	c.installLocked(c.newHotModel(mdl, meta), true)
-	return true
-}
-
-// Prune is the ModelRegistry.SetOnPrune hook, called for every version
-// registry GC deletes. It unpins (name, version), so a deleted version
-// stops answering explicit-version predicts, and drops it from latest if
-// it is name's latest, so the next version-0 read faults in the
-// registry's latest. A hotModel a request already holds stays usable.
-func (c *ModelCache) Prune(name string, version int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := c.state.Load().clone()
-	delete(st.byKey, modelKey{name, version})
-	if cur := st.latest[name]; cur != nil && cur.meta.Version == version {
-		delete(st.latest, name)
+	if pin {
+		c.pinLatestLocked(st, meta.Name)
 	}
 	c.state.Store(st)
 }
@@ -386,16 +376,17 @@ func (c *ModelCache) WarmAll() int {
 	if err != nil {
 		return 0
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st := c.state.Load().clone()
 	warmed := 0
 	for _, m := range metas {
-		c.mu.Lock()
-		pinned := c.pinLatestLocked(m.Name)
-		c.mu.Unlock()
-		if pinned {
+		if _, decoded, _ := c.pinLatestLocked(st, m.Name); decoded {
 			warmed++
 			c.warmed.Inc()
 		}
 	}
+	c.state.Store(st)
 	return warmed
 }
 

@@ -426,17 +426,20 @@ func TestHotCacheGCDropsSearchCaches(t *testing.T) {
 	}
 }
 
-// TestHotCacheGCUnpinsPrunedVersions pins the prune hook's cache side:
+// TestHotCacheGCUnpinsPrunedVersions pins the save hook's prune side:
 // a version registry GC deletes is unpinned, so explicit-version reads
-// of it fail as they do against the registry, and a pruned latest is
-// dropped, so the next version-0 read faults in the registry's latest.
+// of it fail as they do against the registry, and a served name whose
+// pinned latest GC pruned stays served: the job's new version is pinned
+// in its place, so the next version-0 read is a hit.
 func TestHotCacheGCUnpinsPrunedVersions(t *testing.T) {
-	s, err := NewServerOpts(t.TempDir(), ServerOptions{Workers: 1, GCKeepVersions: 1})
+	r := obs.NewRegistry()
+	s, err := NewServerOpts(t.TempDir(), ServerOptions{Workers: 1, GCKeepVersions: 1, Obs: r})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	reg, c := s.Manager().Models(), s.Cache()
+	misses := r.Counter("serve.modelcache.misses")
 	version := func(v int) int {
 		t.Helper()
 		h, err := c.Entry("m", v)
@@ -455,16 +458,20 @@ func TestHotCacheGCUnpinsPrunedVersions(t *testing.T) {
 	if version(0) != 1 {
 		t.Fatal("first version-0 read did not pin m@v1")
 	}
-	// A job's save of v2 prunes v1, the pinned latest: nothing stays
-	// pinned until the next version-0 read faults v2 in.
+	// A job's save of v2 prunes v1, the pinned latest: v2 takes its
+	// place, and the next version-0 read answers from it without a fault.
 	saveJobModel(t, reg, "m", 2, 902)
-	gone(1)
-	if n := c.Pinned(); n != 0 {
-		t.Fatalf("Pinned() = %d after GC pruned the only pinned version, want 0", n)
+	if n := c.Pinned(); n != 1 {
+		t.Fatalf("Pinned() = %d after a job's save of served m pruned its latest, want 1 (m@v2)", n)
 	}
+	before := misses.Value()
 	if version(0) != 2 {
-		t.Fatal("version-0 read after the prune did not fault in m@v2")
+		t.Fatal("version-0 read after the prune does not serve m@v2")
 	}
+	if got := misses.Value(); got != before {
+		t.Fatalf("version-0 read after the prune faulted: misses %d -> %d", before, got)
+	}
+	gone(1)
 	// A save outside any job pins v3 at once; the prune of v2 leaves it.
 	saveTinyModel(t, reg, "m", 3, 903)
 	gone(2)
@@ -488,7 +495,7 @@ func TestCoalescerBatchesConcurrentPredicts(t *testing.T) {
 	}
 	saveTinyModel(t, reg, "m", 2, 301)
 	r := obs.NewRegistry()
-	c := NewModelCache(reg, ServingOptions{CoalesceWindow: 2 * time.Millisecond, MaxBatch: 64}, r)
+	c := NewModelCache(reg, ServingOptions{CoalesceWindow: 2 * time.Millisecond}, r)
 	h, err := c.Entry("m", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -562,7 +569,7 @@ func (m panicModel) PredictBatch([][]float64, []float64) {
 // must fail with the model's panic value instead of blocking on the
 // batch or returning a zero prediction.
 func TestCoalescerPanicReleasesFollowers(t *testing.T) {
-	co := &coalescer{window: 20 * time.Millisecond, maxBatch: 64}
+	co := &coalescer{window: 20 * time.Millisecond}
 	m := panicModel{batches: new(atomic.Int32)}
 	const n = 16
 	failures := make(chan any, n)

@@ -186,7 +186,8 @@ type Manager struct {
 
 	// fleet, when non-nil, is the coordinator collect sweeps shard
 	// through whenever it has live workers (fleet.go); without workers
-	// (or without a coordinator) sweeps run on the local pool.
+	// (or without a coordinator) sweeps run on the local pool. Set
+	// before the workers start and never changed.
 	fleet *fleet.Coordinator
 
 	// testBatchHook, when non-nil, observes every journaled collect
@@ -200,6 +201,18 @@ type Manager struct {
 // (re-enqueueing unfinished ones in ID order), and starts workers
 // worker goroutines (min 1).
 func NewManager(dataDir string, workers int, reg *obs.Registry) (*Manager, error) {
+	m, err := newManager(dataDir, reg)
+	if err != nil {
+		return nil, err
+	}
+	m.start(workers)
+	return m, nil
+}
+
+// newManager is NewManager without the workers: adopted jobs wait in the
+// queue until start, so a caller can finish wiring the manager (fleet,
+// registry hook) before any job reads it.
+func newManager(dataDir string, reg *obs.Registry) (*Manager, error) {
 	for _, d := range []string{"jobs", "journals", "collect", "models"} {
 		if err := os.MkdirAll(filepath.Join(dataDir, d), 0o755); err != nil {
 			return nil, err
@@ -208,9 +221,6 @@ func NewManager(dataDir string, workers int, reg *obs.Registry) (*Manager, error
 	models, err := NewModelRegistry(filepath.Join(dataDir, "models"))
 	if err != nil {
 		return nil, err
-	}
-	if workers < 1 {
-		workers = 1
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
@@ -225,7 +235,6 @@ func NewManager(dataDir string, workers int, reg *obs.Registry) (*Manager, error
 		rootCtx:    ctx,
 		rootCancel: cancel,
 	}
-	models.SetOnPrune(m.dropCaches)
 	resume, err := m.loadJobs()
 	if err != nil {
 		cancel()
@@ -234,11 +243,15 @@ func NewManager(dataDir string, workers int, reg *obs.Registry) (*Manager, error
 	for _, id := range resume {
 		m.queue <- id
 	}
-	for i := 0; i < workers; i++ {
+	return m, nil
+}
+
+// start launches workers worker goroutines (min 1).
+func (m *Manager) start(workers int) {
+	for i := 0; i < max(workers, 1); i++ {
 		m.wg.Add(1)
 		go m.worker()
 	}
-	return m, nil
 }
 
 // loadJobs reads jobs/*.json, rebuilds the in-memory table, and returns
@@ -527,11 +540,13 @@ func (m *Manager) cacheFor(model string, version int, dsizeMB float64) *ga.Genom
 	return c
 }
 
-// dropCaches deletes the genome caches of a model version that registry
-// GC pruned: no search can load that version again.
-func (m *Manager) dropCaches(model string, version int) {
+// dropCaches deletes the genome caches of model versions that registry
+// GC pruned: no search can load those versions again.
+func (m *Manager) dropCaches(model string, versions []int) {
 	m.mu.Lock()
-	delete(m.caches, modelKey{model, version})
+	for _, v := range versions {
+		delete(m.caches, modelKey{model, v})
+	}
 	m.mu.Unlock()
 }
 

@@ -60,15 +60,13 @@ type ModelRegistry struct {
 	dir      string
 	backends *model.BackendRegistry
 	mu       sync.Mutex
-	// onSave, when set, runs after every successful Save with the new
-	// version's metadata, outside the registry lock — the hot cache's
-	// Refresh hook (hotcache.go).
-	onSave func(meta ModelMeta)
-	// onPrune, when set, runs for every version GC deletes, outside the
-	// registry lock — the job manager's search-cache drop (job.go).
-	onPrune func(name string, version int)
+	// onSave, when set, runs after every successful Save, outside the
+	// registry lock, with the new version's metadata and the versions GC
+	// pruned to make room for it — the daemon's one per-version hook
+	// (server.go).
+	onSave func(meta ModelMeta, pruned []int)
 	// gcKeep, when > 0, bounds each model to its newest gcKeep versions:
-	// older ones are deleted after every save and by GCAll on startup.
+	// older ones are deleted by EnableGC's sweep and after every save.
 	gcKeep   int
 	gcPruned *obs.Counter
 }
@@ -114,21 +112,15 @@ func validName(name string) error {
 }
 
 // EnableGC turns on version garbage collection: each model keeps only
-// its newest keep versions, pruned on every save and by GCAll. pruned
-// (may be nil) counts deleted versions. Call before the daemon starts
-// serving; not synchronized against concurrent saves.
-func (r *ModelRegistry) EnableGC(keep int, pruned *obs.Counter) {
+// its newest keep versions. It prunes every model at once — the startup
+// sweep over registries grown before GC was enabled, which reports to no
+// hook — and after every save from then on. pruned (may be nil) counts
+// deleted versions. Call before the daemon starts serving.
+func (r *ModelRegistry) EnableGC(keep int, pruned *obs.Counter) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.gcKeep = keep
 	r.gcPruned = pruned
-}
-
-// GCAll prunes every model in the registry to the configured version
-// budget — the startup sweep over registries grown before GC was
-// enabled. No-op when EnableGC was not called.
-func (r *ModelRegistry) GCAll() error {
-	if r.gcKeep <= 0 {
-		return nil
-	}
 	entries, err := os.ReadDir(r.dir)
 	if err != nil {
 		return err
@@ -137,89 +129,76 @@ func (r *ModelRegistry) GCAll() error {
 		if !e.IsDir() {
 			continue
 		}
-		if err := r.gc(e.Name()); err != nil {
+		if _, err := r.gcLocked(e.Name()); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// gc deletes name's versions beyond the newest gcKeep, then reports each
-// deleted version to the SetOnPrune hook outside the registry lock. The
-// .model file goes first: versionsLocked scans .model files, so a crash
-// between the two unlinks leaves an orphaned .json that no longer counts
-// as a version (and is overwritten if the number is ever reused).
-func (r *ModelRegistry) gc(name string) error {
+// gcLocked deletes name's versions beyond the newest gcKeep and returns
+// the deleted version numbers. The .model file goes first:
+// versionsLocked scans .model files, so a crash between the two unlinks
+// leaves an orphaned .json that no longer counts as a version (and is
+// overwritten if the number is ever reused). Caller holds r.mu.
+func (r *ModelRegistry) gcLocked(name string) ([]int, error) {
 	if r.gcKeep <= 0 {
-		return nil
+		return nil, nil
 	}
-	r.mu.Lock()
-	onPrune := r.onPrune
-	var pruned []int
 	versions, err := r.versionsLocked(name)
-	if err == nil && len(versions) > r.gcKeep {
-		dir := filepath.Join(r.dir, name)
-		for _, v := range versions[:len(versions)-r.gcKeep] {
-			if err = os.Remove(filepath.Join(dir, fmt.Sprintf("v%d.model", v))); err != nil {
-				break
-			}
-			os.Remove(filepath.Join(dir, fmt.Sprintf("v%d.json", v)))
-			r.gcPruned.Inc()
-			pruned = append(pruned, v)
-		}
+	if err != nil || len(versions) <= r.gcKeep {
+		return nil, err
 	}
-	r.mu.Unlock()
-	if onPrune != nil {
-		for _, v := range pruned {
-			onPrune(name, v)
+	dir := filepath.Join(r.dir, name)
+	var pruned []int
+	for _, v := range versions[:len(versions)-r.gcKeep] {
+		if err := os.Remove(filepath.Join(dir, fmt.Sprintf("v%d.model", v))); err != nil {
+			return pruned, err
 		}
+		os.Remove(filepath.Join(dir, fmt.Sprintf("v%d.json", v)))
+		r.gcPruned.Inc()
+		pruned = append(pruned, v)
 	}
-	return err
+	return pruned, nil
 }
 
-// SetOnSave registers a hook invoked (outside the registry lock) after
-// every successful Save with the saved version's metadata. The daemon
-// points it at its hot cache's Refresh so new versions swap in as they
-// land.
-func (r *ModelRegistry) SetOnSave(fn func(meta ModelMeta)) {
+// SetOnSave registers the hook invoked (outside the registry lock) after
+// every successful Save, once, with the saved version's metadata and the
+// versions GC pruned after it. The daemon points it at its hot cache's
+// Refresh and its job manager's search-cache drop, so new versions swap
+// in and pruned ones leave as they happen.
+func (r *ModelRegistry) SetOnSave(fn func(meta ModelMeta, pruned []int)) {
 	r.mu.Lock()
 	r.onSave = fn
 	r.mu.Unlock()
 }
 
-// SetOnPrune registers a hook invoked (outside the registry lock) with
-// every (name, version) that version GC deletes. The job manager points
-// it at its search-cache drop; the daemon also unpins the version from
-// its hot model cache.
-func (r *ModelRegistry) SetOnPrune(fn func(name string, version int)) {
-	r.mu.Lock()
-	r.onPrune = fn
-	r.mu.Unlock()
-}
-
 // Save persists m as the next version of name through the backend named
 // by meta.Backend (default hm) and returns that version, then prunes
-// name to the GC budget and fires the SetOnSave hook.
+// name to the GC budget and fires the SetOnSave hook once.
 func (r *ModelRegistry) Save(name string, m model.Model, meta ModelMeta) (int, error) {
-	meta, err := r.save(name, m, meta)
+	r.mu.Lock()
+	meta, err := r.saveLocked(name, m, meta)
+	var pruned []int
+	if err == nil {
+		// The new version is registered; a failed prune degrades to an
+		// over-budget registry, not a failed save.
+		pruned, _ = r.gcLocked(name)
+	}
+	hook := r.onSave
+	r.mu.Unlock()
 	if err != nil {
 		return 0, err
 	}
-	// The new version is registered; a failed prune degrades to an
-	// over-budget registry, not a failed save.
-	r.gc(name)
-	r.mu.Lock()
-	hook := r.onSave
-	r.mu.Unlock()
 	if hook != nil {
-		hook(meta)
+		hook(meta, pruned)
 	}
 	return meta.Version, nil
 }
 
-// save writes m and its metadata as name's next version and returns the
-// metadata as stored.
-func (r *ModelRegistry) save(name string, m model.Model, meta ModelMeta) (ModelMeta, error) {
+// saveLocked writes m and its metadata as name's next version and
+// returns the metadata as stored. Caller holds r.mu.
+func (r *ModelRegistry) saveLocked(name string, m model.Model, meta ModelMeta) (ModelMeta, error) {
 	if err := validName(name); err != nil {
 		return ModelMeta{}, err
 	}
@@ -228,8 +207,6 @@ func (r *ModelRegistry) save(name string, m model.Model, meta ModelMeta) (ModelM
 	if err != nil {
 		return ModelMeta{}, err
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	dir := filepath.Join(r.dir, name)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return ModelMeta{}, err

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/hm"
@@ -258,22 +259,21 @@ func TestRegistryLegacyUntaggedHM(t *testing.T) {
 	}
 }
 
-// GC keeps only the newest N versions: pruning runs after every save and
-// GCAll sweeps a registry that grew before GC was enabled.
+// GC keeps only the newest N versions: EnableGC sweeps a registry that
+// grew before GC was enabled, and pruning runs after every save.
 func TestRegistryGC(t *testing.T) {
 	reg, err := NewModelRegistry(filepath.Join(t.TempDir(), "models"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Grow to 4 versions with GC off, then enable: GCAll prunes to 2.
+	// Grow to 4 versions with GC off, then enable: the sweep prunes to 2.
 	for seed := int64(1); seed <= 4; seed++ {
 		if _, err := reg.Save("ts", trainSmall(t, seed), ModelMeta{Workload: "TS", Seed: seed}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	pruned := obs.NewRegistry().Counter("serve.registry.gc.pruned")
-	reg.EnableGC(2, pruned)
-	if err := reg.GCAll(); err != nil {
+	if err := reg.EnableGC(2, pruned); err != nil {
 		t.Fatal(err)
 	}
 	vs, err := reg.Versions("ts")
@@ -281,7 +281,7 @@ func TestRegistryGC(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(vs) != 2 || vs[0].Version != 3 || vs[1].Version != 4 {
-		t.Fatalf("after GCAll versions = %+v, want v3,v4", vs)
+		t.Fatalf("after EnableGC versions = %+v, want v3,v4", vs)
 	}
 	if pruned.Value() != 2 {
 		t.Fatalf("pruned counter = %d, want 2", pruned.Value())
@@ -309,4 +309,59 @@ func TestRegistryGC(t *testing.T) {
 	if v, _ := reg.Save("ts", trainSmall(t, 6), ModelMeta{Workload: "TS", Seed: 6}); v != 6 {
 		t.Fatalf("next version = %d, want 6", v)
 	}
+}
+
+// TestRegistrySaveHookFiresOncePerSave pins the registry's one event:
+// each Save fires the hook exactly once, after GC, with the saved
+// version's metadata and the versions GC pruned for it, and EnableGC's
+// startup sweep fires none.
+func TestRegistrySaveHookFiresOncePerSave(t *testing.T) {
+	reg, err := NewModelRegistry(filepath.Join(t.TempDir(), "models"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type event struct {
+		version int
+		pruned  []int
+	}
+	var events []event
+	reg.SetOnSave(func(meta ModelMeta, pruned []int) {
+		if meta.Name != "ts" || !reg.has("ts", meta.Version) {
+			t.Errorf("hook got %s@v%d, which is not registered", meta.Name, meta.Version)
+		}
+		for _, v := range pruned {
+			if reg.has("ts", v) {
+				t.Errorf("hook reported ts@v%d pruned before GC deleted it", v)
+			}
+		}
+		events = append(events, event{meta.Version, pruned})
+	})
+	expect := func(step string, want ...event) {
+		t.Helper()
+		if !reflect.DeepEqual(events, want) {
+			t.Fatalf("%s: hook events %+v, want %+v", step, events, want)
+		}
+		events = nil
+	}
+	save := func(seed int64) {
+		t.Helper()
+		if _, err := reg.Save("ts", trainSmall(t, seed), ModelMeta{Workload: "TS", Seed: seed}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		save(seed)
+	}
+	expect("saves with GC off", event{1, nil}, event{2, nil}, event{3, nil})
+	if err := reg.EnableGC(1, nil); err != nil {
+		t.Fatal(err)
+	}
+	expect("EnableGC sweep")
+	if vs, _ := reg.Versions("ts"); len(vs) != 1 || vs[0].Version != 3 {
+		t.Fatalf("after EnableGC versions = %+v, want v3", vs)
+	}
+	save(4)
+	expect("save with GC on", event{4, []int{3}})
+	save(5)
+	expect("next save", event{5, []int{4}})
 }

@@ -93,17 +93,13 @@ type FleetOptions struct {
 	ChunkRows int
 }
 
-// NewServer opens dataDir (creating the layout if needed), adopts
-// persisted jobs, and starts the worker pool with default serving
-// options. reg may be nil to run without metrics; /metrics then reports
-// an empty registry.
-func NewServer(dataDir string, workers int, reg *obs.Registry) (*Server, error) {
-	return NewServerOpts(dataDir, ServerOptions{Workers: workers, Obs: reg})
-}
-
-// NewServerOpts is NewServer with explicit serving options.
+// NewServerOpts opens dataDir (creating the layout if needed), adopts
+// persisted jobs, wires the fleet coordinator, registry GC and the hot
+// model cache, and only then starts the worker pool, so an adopted job
+// never runs against a half-wired daemon. opt.Obs may be nil to run
+// without metrics; /metrics then reports an empty registry.
 func NewServerOpts(dataDir string, opt ServerOptions) (*Server, error) {
-	mgr, err := NewManager(dataDir, opt.Workers, opt.Obs)
+	mgr, err := newManager(dataDir, opt.Obs)
 	if err != nil {
 		return nil, err
 	}
@@ -123,8 +119,8 @@ func NewServerOpts(dataDir string, opt ServerOptions) (*Server, error) {
 		s.limiter = newTokenLimiter(opt.RateLimit)
 	}
 	if opt.GCKeepVersions > 0 {
-		mgr.Models().EnableGC(opt.GCKeepVersions, reg.Counter("serve.registry.gc.pruned"))
-		if err := mgr.Models().GCAll(); err != nil {
+		if err := mgr.Models().EnableGC(opt.GCKeepVersions, reg.Counter("serve.registry.gc.pruned")); err != nil {
+			mgr.Close()
 			return nil, fmt.Errorf("serve: registry gc: %w", err)
 		}
 	}
@@ -134,19 +130,19 @@ func NewServerOpts(dataDir string, opt ServerOptions) (*Server, error) {
 			ChunkRows: opt.Fleet.ChunkRows,
 			Obs:       reg,
 		})
-		mgr.SetFleet(s.fleet)
+		mgr.fleet = s.fleet
 		s.fleet.Routes(s.mux, s.requireAuth)
 	}
 	s.cache = NewModelCache(mgr.Models(), opt.Serving, reg)
-	// New registrations (train/tune jobs) swap into the cache as they
-	// land, so version-0 predicts follow retrains immediately.
-	mgr.Models().SetOnSave(s.cache.Refresh)
-	// Versions registry GC deletes leave the cache with the manager's
-	// search caches.
-	mgr.Models().SetOnPrune(func(name string, version int) {
-		mgr.dropCaches(name, version)
-		s.cache.Prune(name, version)
+	// Every registration reaches the daemon's per-version state as one
+	// event: versions GC pruned leave the search caches and the hot
+	// cache, and the new version swaps in, so version-0 predicts follow
+	// retrains immediately.
+	mgr.Models().SetOnSave(func(meta ModelMeta, pruned []int) {
+		mgr.dropCaches(meta.Name, pruned)
+		s.cache.Refresh(meta, pruned)
 	})
+	mgr.start(opt.Workers)
 	// Warm every registry latest now, instead of faulting decodes on the
 	// first predicts after a restart.
 	s.cache.WarmAll()

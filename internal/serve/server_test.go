@@ -23,7 +23,7 @@ import (
 // front end.
 func newTestServer(t *testing.T, reg *obs.Registry) (*Server, *httptest.Server) {
 	t.Helper()
-	s, err := NewServer(t.TempDir(), 2, reg)
+	s, err := NewServerOpts(t.TempDir(), ServerOptions{Workers: 2, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
