@@ -2,6 +2,7 @@ package dac
 
 import (
 	"repro/internal/ann"
+	"repro/internal/backends"
 	"repro/internal/conf"
 	"repro/internal/dataset"
 	"repro/internal/ga"
@@ -48,29 +49,36 @@ type (
 func HadoopKMeans() HadoopJob   { return hadoopsim.KMeansJob() }
 func HadoopPageRank() HadoopJob { return hadoopsim.PageRankJob() }
 
-// NewHMTrainer returns the Hierarchical Modeling trainer — the paper's
-// modeling technique. The zero Options select tc=5, lr=0.05, nt=3600.
-func NewHMTrainer(opt HMOptions) Trainer { return hm.Trainer{Opt: opt} }
+// The pluggable model-backend layer (DESIGN.md §11): the five modeling
+// techniques the paper compares (§4.2, Fig. 9) behind one training
+// contract and a name-keyed registry, exposed as the searchers are
+// below. A backend's Opt carries every hyperparameter of its technique;
+// TrainOpts carries only per-job knobs, and a zero TrainOpts trains with
+// Opt as given (the zero Opt selects the package defaults).
+type (
+	// Backend is the pluggable modeling-stage contract.
+	Backend = model.Backend
+	// TrainOpts carries a Backend.Train call's per-job knobs: seed,
+	// metrics registry, smoke-test budget and tree budget.
+	TrainOpts = model.TrainOpts
+	// BackendRegistry is an immutable name-keyed set of backends.
+	BackendRegistry = model.BackendRegistry
+	// HMBackend is Hierarchical Modeling, the paper's technique; its
+	// zero Options select tc=5, lr=0.05, nt=3600.
+	HMBackend = hm.Backend
+	// RFBackend is the random forest (RFHOC's model).
+	RFBackend = rf.Backend
+	// ANNBackend is the artificial-neural-network baseline.
+	ANNBackend = ann.Backend
+	// SVMBackend is the support-vector-regression baseline.
+	SVMBackend = svm.Backend
+	// RSBackend is the response-surface baseline.
+	RSBackend = rs.Backend
+)
 
-// NewRFTrainer returns the random-forest trainer (RFHOC's model).
-func NewRFTrainer(opt RFOptions) Trainer { return rf.Trainer{Opt: opt} }
-
-// NewANNTrainer returns the artificial-neural-network baseline trainer.
-func NewANNTrainer(opt ANNOptions) Trainer { return ann.Trainer{Opt: opt} }
-
-// NewSVMTrainer returns the support-vector-regression baseline trainer.
-func NewSVMTrainer(opt SVMOptions) Trainer { return svm.Trainer{Opt: opt} }
-
-// NewRSTrainer returns the response-surface baseline trainer.
-func NewRSTrainer(opt RSOptions) Trainer { return rs.Trainer{Opt: opt} }
-
-// Trainers returns the five modeling techniques the paper compares in
-// Fig. 9, in its order: RS, ANN, SVM, RF, HM.
-func Trainers() []Trainer {
-	return []Trainer{
-		rs.Trainer{}, ann.Trainer{}, svm.Trainer{}, rf.Trainer{}, hm.Trainer{},
-	}
-}
+// DefaultBackends returns the registry of every built-in backend ("hm",
+// "rf", "rs", "ann", "svm").
+func DefaultBackends() *BackendRegistry { return backends.Default() }
 
 // Evaluate computes Eq. 2 error statistics of m over ds.
 func Evaluate(m Model, ds *Dataset) ErrStats { return model.Evaluate(m, ds) }

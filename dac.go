@@ -85,8 +85,6 @@ type (
 	SimExecutor = core.SimExecutor
 	// Model predicts execution time from configuration + datasize.
 	Model = model.Model
-	// Trainer fits a Model to collected data.
-	Trainer = model.Trainer
 	// HMOptions are the Hierarchical Modeling hyperparameters.
 	HMOptions = hm.Options
 	// GAOptions are the genetic-algorithm hyperparameters.

@@ -3,6 +3,7 @@ package dac_test
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -125,16 +126,37 @@ func TestSamplersThroughFacade(t *testing.T) {
 	}
 }
 
-func TestTrainersThroughFacade(t *testing.T) {
-	trainers := dac.Trainers()
-	if len(trainers) != 5 {
-		t.Fatalf("got %d trainers", len(trainers))
+func TestBackendsThroughFacade(t *testing.T) {
+	reg := dac.DefaultBackends()
+	if got, want := strings.Join(reg.Names(), ","), "ann,hm,rf,rs,svm"; got != want {
+		t.Fatalf("DefaultBackends names = %s, want %s", got, want)
 	}
-	want := []string{"RS", "ANN", "SVM", "RF", "HM"}
-	for i, tr := range trainers {
-		if tr.Name() != want[i] {
-			t.Errorf("trainer %d = %s, want %s", i, tr.Name(), want[i])
+	// Each registry entry is the facade's alias type, so a library user
+	// sets hyperparameters through the same Opt the registry trains with.
+	for name, want := range map[string]dac.Backend{
+		"hm": dac.HMBackend{}, "rf": dac.RFBackend{}, "rs": dac.RSBackend{},
+		"ann": dac.ANNBackend{}, "svm": dac.SVMBackend{},
+	} {
+		b, err := reg.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if reflect.TypeOf(b) != reflect.TypeOf(want) || want.Name() != name {
+			t.Errorf("%s: registry holds %T, facade alias is %T named %q", name, b, want, want.Name())
+		}
+	}
+	space := dac.StandardSpace()
+	set := dac.NewPerfSet(space)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 60; i++ {
+		set.Add(space.Random(rng), 1024+float64(i)*64, 30+float64(i))
+	}
+	m, err := dac.RSBackend{Opt: dac.RSOptions{Ridge: 0.1}}.Train(set.ToDataset(), dac.TrainOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := dac.Evaluate(m, set.ToDataset()); e.N != 60 {
+		t.Errorf("evaluated %d rows, want 60", e.N)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"strings"
 	"time"
 
 	dac "repro"
@@ -51,16 +52,21 @@ func main() {
 	test := collect(*n/4, 2)
 
 	fmt.Printf("\n%-5s %10s %10s %12s\n", "model", "mean err", "max err", "train time")
-	for _, tr := range dac.Trainers() {
+	// The paper's order (Fig. 9): RS, ANN, SVM, RF, HM, each with its
+	// package defaults (zero Opt) and a zero TrainOpts.
+	for _, b := range []dac.Backend{
+		dac.RSBackend{}, dac.ANNBackend{}, dac.SVMBackend{}, dac.RFBackend{}, dac.HMBackend{},
+	} {
+		name := strings.ToUpper(b.Name())
 		start := time.Now()
-		m, err := tr.Train(train)
+		m, err := b.Train(train, dac.TrainOpts{})
 		if err != nil {
-			fmt.Printf("%-5s failed: %v\n", tr.Name(), err)
+			fmt.Printf("%-5s failed: %v\n", name, err)
 			continue
 		}
 		e := dac.Evaluate(m, test)
 		fmt.Printf("%-5s %9.1f%% %9.1f%% %12v\n",
-			tr.Name(), e.Mean*100, e.Max*100, time.Since(start).Round(time.Millisecond))
+			name, e.Mean*100, e.Max*100, time.Since(start).Round(time.Millisecond))
 	}
 	fmt.Println("\n(the paper's Fig. 9: HM averages 7.6% across programs; RS/ANN/SVM/RF 15-30%)")
 }

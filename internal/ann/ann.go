@@ -235,12 +235,3 @@ func shuffle(idx []int, rng *rand.Rand) {
 		idx[i], idx[j] = idx[j], idx[i]
 	}
 }
-
-// Trainer adapts Train to model.Trainer.
-type Trainer struct{ Opt Options }
-
-// Name implements model.Trainer.
-func (Trainer) Name() string { return "ANN" }
-
-// Train implements model.Trainer.
-func (t Trainer) Train(ds *model.Dataset) (model.Model, error) { return Train(ds, t.Opt) }

@@ -84,14 +84,11 @@ type Backend struct{ Opt Options }
 // Name implements model.Backend.
 func (Backend) Name() string { return "ann" }
 
-// options merges the cross-backend knobs into the backend's own.
+// options merges the per-job knobs into the backend's own.
 func (b Backend) options(opt model.TrainOpts) Options {
 	eff := b.Opt
 	if opt.Quick && eff.Epochs == 0 {
 		eff.Epochs = 120
-	}
-	if opt.Epochs > 0 {
-		eff.Epochs = opt.Epochs
 	}
 	if opt.Seed != 0 {
 		eff.Seed = opt.Seed

@@ -2,10 +2,16 @@ package backends
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/ann"
+	"repro/internal/hm"
 	"repro/internal/model"
+	"repro/internal/rf"
+	"repro/internal/rs"
+	"repro/internal/svm"
 )
 
 // backendDS builds a small synthetic regression problem every backend
@@ -52,6 +58,50 @@ func TestDefaultRegistry(t *testing.T) {
 		}
 		if got := model.CapabilitiesOf(b); got != want {
 			t.Fatalf("%s capabilities = %+v, want %+v", name, got, want)
+		}
+	}
+}
+
+// TestBackendMatchesPackageTrain pins the one training contract: a
+// backend built with non-default Options and trained with a zero
+// TrainOpts fits exactly the model its package's Train fits with those
+// Options, bit for bit on a probe set.
+func TestBackendMatchesPackageTrain(t *testing.T) {
+	hmOpt := hm.Options{Trees: 80, LearningRate: 0.1, TreeComplexity: 3, Seed: 5}
+	rfOpt := rf.Options{Trees: 15, MaxSplits: 12, Seed: 2}
+	rsOpt := rs.Options{Ridge: 0.01, NoInteractions: true}
+	annOpt := ann.Options{Hidden: []int{8}, Epochs: 30, Seed: 3}
+	svmOpt := svm.Options{C: 5, Epochs: 6, Seed: 4}
+	cases := []struct {
+		b      model.Backend
+		direct func(*model.Dataset) (model.Model, error)
+	}{
+		{hm.Backend{Opt: hmOpt}, func(ds *model.Dataset) (model.Model, error) { return hm.Train(ds, hmOpt) }},
+		{rf.Backend{Opt: rfOpt}, func(ds *model.Dataset) (model.Model, error) { return rf.Train(ds, rfOpt) }},
+		{rs.Backend{Opt: rsOpt}, func(ds *model.Dataset) (model.Model, error) { return rs.Train(ds, rsOpt) }},
+		{ann.Backend{Opt: annOpt}, func(ds *model.Dataset) (model.Model, error) { return ann.Train(ds, annOpt) }},
+		{svm.Backend{Opt: svmOpt}, func(ds *model.Dataset) (model.Model, error) { return svm.Train(ds, svmOpt) }},
+	}
+	train := backendDS(200, 4)
+	probe := backendDS(64, 5)
+	got := make([]float64, probe.Len())
+	want := make([]float64, probe.Len())
+	for _, c := range cases {
+		name := c.b.Name()
+		viaBackend, err := c.b.Train(train, model.TrainOpts{})
+		if err != nil {
+			t.Fatalf("%s: backend train: %v", name, err)
+		}
+		direct, err := c.direct(train)
+		if err != nil {
+			t.Fatalf("%s: package train: %v", name, err)
+		}
+		model.PredictBatch(viaBackend, probe.Features, got)
+		model.PredictBatch(direct, probe.Features, want)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: probe %d: backend predicts %v, package Train %v", name, i, got[i], want[i])
+			}
 		}
 	}
 }

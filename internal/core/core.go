@@ -85,7 +85,7 @@ type Options struct {
 	// above — the way a nil Searcher selects the GA. An hm.Backend's own
 	// Opt is replaced by HM: set the HM shape there, not on the backend.
 	Backend model.Backend
-	// BackendTrain holds the cross-backend training knobs. A zero Seed is
+	// BackendTrain holds the per-job training knobs. A zero Seed is
 	// filled with HM.Seed when the backend is hm and HM.Seed is set, else
 	// with Seed+1.
 	BackendTrain model.TrainOpts

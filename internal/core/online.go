@@ -14,6 +14,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/hm"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/sparksim"
 )
 
@@ -256,14 +257,14 @@ func (t *Tuner) TuneOnline(ctx context.Context, minMB, maxMB, targetMB float64, 
 		warm := false
 		if it > 0 {
 			var fitSec float64
-			m, warm, fitSec, err = t.refitOnline(m, set, refitSeed, oo.ExtraTrees)
+			m, warm, fitSec, err = t.refitOnline(root, m, set, refitSeed, oo.ExtraTrees)
 			if err != nil {
 				return nil, err
 			}
 			overhead.ModelTrainSec += fitSec
 		}
 
-		srch, err := t.searchSubspace(m, ss, set, targetMB, gaSeed, oo.Guard)
+		srch, err := t.searchSubspace(root, m, ss, set, targetMB, gaSeed, oo.Guard)
 		if err != nil {
 			return nil, err
 		}
@@ -316,12 +317,12 @@ func (t *Tuner) TuneOnline(ctx context.Context, minMB, maxMB, targetMB float64, 
 	refitSeed := seedStream.Int63()
 	gaSeed := seedStream.Int63()
 	var fitSec float64
-	m, _, fitSec, err = t.refitOnline(m, set, refitSeed, oo.ExtraTrees)
+	m, _, fitSec, err = t.refitOnline(root, m, set, refitSeed, oo.ExtraTrees)
 	if err != nil {
 		return nil, err
 	}
 	overhead.ModelTrainSec += fitSec
-	srch, err := t.searchSubspace(m, ss, set, targetMB, gaSeed, oo.Guard)
+	srch, err := t.searchSubspace(root, m, ss, set, targetMB, gaSeed, oo.Guard)
 	if err != nil {
 		return nil, err
 	}
@@ -403,8 +404,10 @@ func (t *Tuner) screenParams(m model.Model, k int) ([]string, []float64, error) 
 // refitOnline refits the model on every accumulated observation:
 // warm-started through the backend's Resumer (hm's boosting resume) when
 // it has one, from scratch otherwise. seed isolates each refit's
-// randomness; deterministic in (model state, set, seed).
-func (t *Tuner) refitOnline(m model.Model, set *dataset.Set, seed int64, extra int) (model.Model, bool, float64, error) {
+// randomness; deterministic in (model state, set, seed). Each call is
+// one interval of parent's "refit" child span.
+func (t *Tuner) refitOnline(parent *obs.Span, m model.Model, set *dataset.Set, seed int64, extra int) (model.Model, bool, float64, error) {
+	defer parent.Child("refit").End()
 	b, to := t.modelBackend()
 	to.Seed = seed
 	ds := set.ToDataset()
@@ -435,8 +438,10 @@ type onlineSearch struct {
 // dsizeMB, with guard-rejected genomes penalized out of contention. The
 // population is seeded from the subspace projections of the best
 // observed rows. Genome caches are never shared with full-space
-// searches — the genome layouts differ.
-func (t *Tuner) searchSubspace(m model.Model, ss *conf.SubSpace, set *dataset.Set, dsizeMB float64, gaSeed int64, guard OOMGuard) (onlineSearch, error) {
+// searches — the genome layouts differ. Each call is one interval of
+// parent's "search" child span.
+func (t *Tuner) searchSubspace(parent *obs.Span, m model.Model, ss *conf.SubSpace, set *dataset.Set, dsizeMB float64, gaSeed int64, guard OOMGuard) (onlineSearch, error) {
+	defer parent.Child("search").End()
 	opt := t.Opt.withDefaults()
 	gaOpt := t.obsGA(opt.GA)
 	gaOpt.Seed = gaSeed

@@ -11,6 +11,7 @@ import (
 	"repro/internal/conf"
 	"repro/internal/ga"
 	"repro/internal/hm"
+	"repro/internal/obs"
 	"repro/internal/sparksim"
 	"repro/internal/workloads"
 )
@@ -114,6 +115,34 @@ func TestTuneOnlineShapes(t *testing.T) {
 	def := evalSim.Run(&w.Program, target, tuner.Space.Default()).TotalSec
 	if tuned >= def {
 		t.Errorf("online tuning (%.1fs) did not beat the default (%.1fs)", tuned, def)
+	}
+}
+
+// TestTuneOnlineSpans pins tune_online's child spans by count, never by
+// time: "refit" once per iteration after the first plus the final refit
+// (Iterations in all), "search" once per iteration plus the final search
+// (Iterations+1).
+func TestTuneOnlineSpans(t *testing.T) {
+	tuner, w, _ := onlineTuner(t, "TS")
+	reg := obs.NewRegistry()
+	tuner.Obs = reg
+	oo := quickOnline()
+	if _, err := tuner.TuneOnline(context.Background(), w.InputMB(10), w.InputMB(50), w.InputMB(30), oo, RowHooks{}); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]int64{}
+	for _, root := range reg.Snapshot().Spans {
+		if root.Name != "tune_online" {
+			continue
+		}
+		for _, c := range root.Children {
+			got[c.Name] = c.Count
+		}
+	}
+	it := int64(oo.Iterations)
+	want := map[string]int64{"screen": 1, "model": 1, "refit": it, "search": it + 1, "iterate": it, "final": 1}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("tune_online child span counts = %v, want %v", got, want)
 	}
 }
 

@@ -29,12 +29,12 @@ func PaperBudget() Budget {
 	}
 }
 
-// QuickBudget shrinks every knob for smoke tests: ntrain 200, 120 trees,
-// GA 20×10.
+// QuickBudget shrinks every knob for smoke tests: ntrain 200, hm's quick
+// options (120 trees at lr 0.1), GA 20×10.
 func QuickBudget() Budget {
 	return Budget{
 		NTrain: 200,
-		HM:     hm.Options{Trees: 120, LearningRate: 0.1, TreeComplexity: 5},
+		HM:     hm.QuickOptions(),
 		GA:     ga.Options{PopSize: 20, Generations: 10},
 	}
 }

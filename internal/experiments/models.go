@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/backends"
+	"repro/internal/ann"
 	"repro/internal/hm"
 	"repro/internal/model"
+	"repro/internal/rf"
+	"repro/internal/rs"
 	"repro/internal/stats"
+	"repro/internal/svm"
 	"repro/internal/workloads"
 )
 
@@ -18,21 +21,14 @@ type ModelErrRow struct {
 	Err     map[string]float64
 }
 
-// backendEntry names one registry backend plus the training knobs the
-// experiment's scale implies for it.
-type backendEntry struct {
-	name string
-	opt  model.TrainOpts
-}
-
-// baselineEntries returns RS/ANN/SVM/RF (Fig. 3's techniques) sized for
-// the scale, as backend-registry lookups.
-func baselineEntries(sc Scale) []backendEntry {
-	return []backendEntry{
-		{name: "rs"},
-		{name: "ann", opt: model.TrainOpts{Epochs: annEpochs(sc)}},
-		{name: "svm"},
-		{name: "rf"},
+// baselineBackends returns RS/ANN/SVM/RF (Fig. 3's techniques) sized for
+// the scale.
+func baselineBackends(sc Scale) []model.Backend {
+	return []model.Backend{
+		rs.Backend{},
+		ann.Backend{Opt: ann.Options{Epochs: annEpochs(sc)}},
+		svm.Backend{},
+		rf.Backend{},
 	}
 }
 
@@ -47,36 +43,27 @@ func annEpochs(sc Scale) int {
 // modeling techniques on all six programs, demonstrating that none is
 // accurate enough with 41 parameters + datasize.
 func Fig3(sc Scale) []ModelErrRow {
-	return modelErrors(sc, baselineEntries(sc))
+	return modelErrors(sc, baselineBackends(sc))
 }
 
 // Fig9 reproduces §5.3: Fig. 3's comparison with HM added.
 func Fig9(sc Scale) []ModelErrRow {
-	entries := append(baselineEntries(sc), backendEntry{name: "hm", opt: model.TrainOpts{
-		Trees:          sc.HM.Trees,
-		LearningRate:   sc.HM.LearningRate,
-		TreeComplexity: sc.HM.TreeComplexity,
-	}})
-	return modelErrors(sc, entries)
+	return modelErrors(sc, append(baselineBackends(sc), hm.Backend{Opt: sc.HM}))
 }
 
-func modelErrors(sc Scale, entries []backendEntry) []ModelErrRow {
-	reg := backends.Default()
+// modelErrors trains every backend with a zero model.TrainOpts, so each
+// fits with exactly the Opt it was built with.
+func modelErrors(sc Scale, bs []model.Backend) []ModelErrRow {
 	rows := make([]ModelErrRow, 0, 7)
 	avg := ModelErrRow{Program: "AVG", Err: map[string]float64{}}
 	for _, w := range workloads.All() {
 		train := collectDataset(sc, w, sc.NTrain, 42, sc.Seed)
 		test := collectDataset(sc, w, sc.NTest, 42, sc.Seed+1000)
 		row := ModelErrRow{Program: w.Abbr, Err: map[string]float64{}}
-		for _, ent := range entries {
+		for _, b := range bs {
 			// Row keys stay the figures' uppercase technique names.
-			key := strings.ToUpper(ent.name)
-			b, err := reg.Lookup(ent.name)
-			if err != nil {
-				row.Err[key] = -1
-				continue
-			}
-			m, err := b.Train(train, ent.opt)
+			key := strings.ToUpper(b.Name())
+			m, err := b.Train(train, model.TrainOpts{})
 			if err != nil {
 				row.Err[key] = -1
 				continue

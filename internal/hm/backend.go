@@ -9,29 +9,24 @@ import (
 
 // Backend adapts the package to the model.Backend contract, with
 // persistence (snapshot v2: the trees' thresholds) and warm-start via Resume
-// as discovered capabilities. Opt seeds the defaults; model.TrainOpts
-// fields overlay the knobs they map to, so the daemon's per-job budgets
-// reproduce exactly the hm.Options a direct Train call would use.
+// as discovered capabilities. Opt holds every hyperparameter;
+// model.TrainOpts overlays only the per-job knobs (seed, tree budget,
+// metrics), so the daemon's per-job budgets reproduce exactly the
+// hm.Options a direct Train call would use.
 type Backend struct{ Opt Options }
 
 // Name implements model.Backend.
 func (Backend) Name() string { return "hm" }
 
-// options merges the cross-backend knobs into the backend's own.
+// options merges the per-job knobs into the backend's own.
 func (b Backend) options(opt model.TrainOpts) Options {
 	eff := b.Opt
 	if opt.Quick && b.Opt == (Options{}) {
 		// The daemon's smoke-test budget (JobSpec.Quick).
-		eff = Options{Trees: 120, LearningRate: 0.1, TreeComplexity: 5}
+		eff = QuickOptions()
 	}
 	if opt.Trees > 0 {
 		eff.Trees = opt.Trees
-	}
-	if opt.LearningRate > 0 {
-		eff.LearningRate = opt.LearningRate
-	}
-	if opt.TreeComplexity > 0 {
-		eff.TreeComplexity = opt.TreeComplexity
 	}
 	if opt.Seed != 0 {
 		eff.Seed = opt.Seed

@@ -75,6 +75,14 @@ type Options struct {
 	Obs *obs.Registry
 }
 
+// QuickOptions is the reduced smoke-test budget: 120 trees per
+// first-order model at lr 0.1 and tc 5. Backend trains with it under
+// model.TrainOpts.Quick, and the tuning pipeline's quick budget uses it
+// too, so a quick train job and a quick tune fit with the same Options.
+func QuickOptions() Options {
+	return Options{Trees: 120, LearningRate: 0.1, TreeComplexity: 5}
+}
+
 func (o Options) withDefaults() Options {
 	if o.Trees <= 0 {
 		o.Trees = 3600
@@ -508,15 +516,4 @@ func solve(A [][]float64, b []float64) ([]float64, bool) {
 		x[i] = M[i][n] / M[i][i]
 	}
 	return x, true
-}
-
-// Trainer adapts Train to the model.Trainer interface.
-type Trainer struct{ Opt Options }
-
-// Name implements model.Trainer.
-func (Trainer) Name() string { return "HM" }
-
-// Train implements model.Trainer.
-func (t Trainer) Train(ds *model.Dataset) (model.Model, error) {
-	return Train(ds, t.Opt)
 }

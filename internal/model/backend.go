@@ -18,30 +18,24 @@ import (
 // new surrogate (LOCAT-style model swapping, Tuneful-style per-workload
 // selection) lands in one place instead of five.
 
-// TrainOpts carries the cross-backend training knobs. Every field is
-// optional: a zero field falls through to the backend's own default (or
-// its reduced smoke-test budget under Quick). Fields a backend has no
-// notion of — Epochs for tree ensembles, TreeComplexity for the response
-// surface — are ignored by it.
+// TrainOpts carries the knobs a caller sets per training job, the same
+// for every backend. Every field is optional: a zero field keeps the
+// backend's own setting (its Opt, or its reduced smoke-test budget under
+// Quick), so a zero TrainOpts trains exactly what the package's Train
+// would with that Opt. Technique-specific hyperparameters (hm's learning
+// rate and tree complexity, ann's and svm's epochs) live in each
+// backend's Opt, not here.
 type TrainOpts struct {
 	// Seed drives the backend's randomness; 0 keeps the backend default.
 	Seed int64
 	// Obs, when non-nil, receives the backend's training metrics.
 	Obs *obs.Registry
-	// Quick selects the backend's reduced smoke-test budget for every
-	// knob not explicitly overridden below.
+	// Quick selects the backend's reduced smoke-test budget when its Opt
+	// leaves that budget unset.
 	Quick bool
 	// Trees overrides the tree budget of tree-based backends (hm's
 	// boosting budget per first-order model, rf's forest size).
 	Trees int
-	// LearningRate overrides hm's shrinkage.
-	LearningRate float64
-	// TreeComplexity overrides hm's splits per tree: 1 to 5, and hm
-	// rejects larger values (its compiled kernel holds five splits per
-	// tree).
-	TreeComplexity int
-	// Epochs overrides the pass budget of iterative backends (ann, svm).
-	Epochs int
 }
 
 // Backend is one named modeling technique behind a uniform training

@@ -1,9 +1,6 @@
 package model
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 // rowModel is a Model without a batch path.
 type rowModel struct{}
@@ -57,28 +54,6 @@ func TestPredictBatchFallback(t *testing.T) {
 	for i := range X {
 		if plain[i] != want[i] || batched[i] != want[i] {
 			t.Fatalf("row %d: plain=%v batched=%v want %v", i, plain[i], batched[i], want[i])
-		}
-	}
-}
-
-// TestUnLogKeepsBatchPath checks the UnLog wrapper still exposes the
-// wrapped model's batch path and that it matches per-row Predict
-// bit-for-bit.
-func TestUnLogKeepsBatchPath(t *testing.T) {
-	m := UnLog(&countingBatch{})
-	bp, ok := m.(BatchPredictor)
-	if !ok {
-		t.Fatal("UnLog dropped the BatchPredictor interface")
-	}
-	X := probeRows(7)
-	out := make([]float64, len(X))
-	bp.PredictBatch(X, out)
-	for i, x := range X {
-		if got := m.Predict(x); got != out[i] {
-			t.Fatalf("row %d: Predict=%v PredictBatch=%v", i, got, out[i])
-		}
-		if out[i] != math.Exp(rowModel{}.Predict(x)) {
-			t.Fatalf("row %d: %v is not exp of inner prediction", i, out[i])
 		}
 	}
 }

@@ -1,7 +1,8 @@
 // Package model defines the shared contract between DAC's performance
-// models: datasets of performance vectors (Eq. 5), the Model/Trainer
-// interfaces, the paper's prediction-error metric (Eq. 2), and the
-// standardization and resampling helpers the learners share.
+// models: datasets of performance vectors (Eq. 5), the Model interface,
+// the Backend training contract, the paper's prediction-error metric
+// (Eq. 2), and the standardization and resampling helpers the learners
+// share.
 package model
 
 import (
@@ -42,15 +43,6 @@ func PredictBatch(m Model, X [][]float64, out []float64) {
 	for i, x := range X {
 		out[i] = m.Predict(x)
 	}
-}
-
-// Trainer fits a Model to a dataset. Implementations live in
-// internal/{hm,rf,ann,svm,rs}.
-type Trainer interface {
-	// Name identifies the technique ("HM", "RF", "ANN", "SVM", "RS").
-	Name() string
-	// Train fits a model; it must not retain ds's slices.
-	Train(ds *Dataset) (Model, error)
 }
 
 // Dataset is a design matrix of performance vectors: row i holds the
@@ -239,32 +231,4 @@ func (s *Standardizer) ApplyAll(X [][]float64) [][]float64 {
 		out[i] = s.Apply(row)
 	}
 	return out
-}
-
-// LogTargets returns a copy of ds with log-transformed targets. Execution
-// times span four orders of magnitude across the configuration space, so
-// learners that minimize squared error fit log-time; UnLog inverts a model
-// trained this way.
-func LogTargets(ds *Dataset) *Dataset {
-	out := &Dataset{Names: ds.Names, Features: ds.Features, Targets: make([]float64, len(ds.Targets))}
-	for i, t := range ds.Targets {
-		out.Targets[i] = math.Log(math.Max(1e-9, t))
-	}
-	return out
-}
-
-// UnLog wraps a model trained on log targets so Predict returns seconds.
-func UnLog(m Model) Model { return expModel{m} }
-
-type expModel struct{ inner Model }
-
-func (e expModel) Predict(x []float64) float64 { return math.Exp(e.inner.Predict(x)) }
-
-// PredictBatch keeps the wrapped model's batch fast path available through
-// the UnLog wrapper.
-func (e expModel) PredictBatch(X [][]float64, out []float64) {
-	PredictBatch(e.inner, X, out)
-	for i, v := range out {
-		out[i] = math.Exp(v)
-	}
 }

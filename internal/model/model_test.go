@@ -150,19 +150,6 @@ func TestStandardizerConstantColumn(t *testing.T) {
 	}
 }
 
-func TestLogTargetsAndUnLog(t *testing.T) {
-	ds := NewDataset(nil)
-	ds.Add([]float64{0}, math.E)
-	lg := LogTargets(ds)
-	if !almostEq(lg.Targets[0], 1) {
-		t.Fatalf("log target = %v", lg.Targets[0])
-	}
-	m := UnLog(constModel(1))
-	if !almostEq(m.Predict(nil), math.E) {
-		t.Fatalf("UnLog predict = %v", m.Predict(nil))
-	}
-}
-
 // Property: standardize-then-apply is invertible up to numerical error.
 func TestStandardizerRoundTripProperty(t *testing.T) {
 	ds := makeDS(100, 5, 6)

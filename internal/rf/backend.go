@@ -15,7 +15,7 @@ type Backend struct{ Opt Options }
 // Name implements model.Backend.
 func (Backend) Name() string { return "rf" }
 
-// options merges the cross-backend knobs into the backend's own.
+// options merges the per-job knobs into the backend's own.
 func (b Backend) options(opt model.TrainOpts) Options {
 	eff := b.Opt
 	if opt.Quick && eff.Trees == 0 {

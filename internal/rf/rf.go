@@ -215,12 +215,3 @@ func Train(ds *model.Dataset, opt Options) (*Forest, error) {
 	wg.Wait()
 	return f, nil
 }
-
-// Trainer adapts Train to model.Trainer.
-type Trainer struct{ Opt Options }
-
-// Name implements model.Trainer.
-func (Trainer) Name() string { return "RF" }
-
-// Train implements model.Trainer.
-func (t Trainer) Train(ds *model.Dataset) (model.Model, error) { return Train(ds, t.Opt) }

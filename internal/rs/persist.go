@@ -77,8 +77,8 @@ type Backend struct{ Opt Options }
 // Name implements model.Backend.
 func (Backend) Name() string { return "rs" }
 
-// Train implements model.Backend. The surface has no seed, tree, or
-// epoch knobs; every TrainOpts field falls through.
+// Train implements model.Backend. The surface has no seed or tree
+// budget, so it ignores every TrainOpts field.
 func (b Backend) Train(ds *model.Dataset, opt model.TrainOpts) (model.Model, error) {
 	return Train(ds, b.Opt)
 }

@@ -208,12 +208,3 @@ func meanStd(xs []float64) (float64, float64) {
 	}
 	return m, s
 }
-
-// Trainer adapts Train to model.Trainer.
-type Trainer struct{ Opt Options }
-
-// Name implements model.Trainer.
-func (Trainer) Name() string { return "RS" }
-
-// Train implements model.Trainer.
-func (t Trainer) Train(ds *model.Dataset) (model.Model, error) { return Train(ds, t.Opt) }

@@ -19,7 +19,7 @@ import (
 // row times are a pure function of each row's spec, and the set is
 // assembled by the row engine in index order from the journal regardless
 // of which worker produced each row.
-func (m *Manager) collectFleet(ctx context.Context, id int64, t *core.Tuner, w *workloads.Workload, sizes []float64, jl *Journal, hooks core.RowHooks) (*dataset.Set, core.Overhead, error) {
+func (m *Manager) collectFleet(ctx context.Context, id int64, t *core.Tuner, w *workloads.Workload, sizes []float64, jl *journal.Journal, hooks core.RowHooks) (*dataset.Set, core.Overhead, error) {
 	spec := fleet.SweepSpec{
 		Workload: w.Abbr,
 		Seed:     t.Opt.Seed,

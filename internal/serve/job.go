@@ -22,6 +22,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/ga"
 	"repro/internal/hm"
+	"repro/internal/journal"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/search"
@@ -197,6 +198,10 @@ type Manager struct {
 	testBatchHook func(journaledRows int)
 }
 
+// queueCap is how many submitted jobs may wait for a worker before
+// Submit rejects with "job queue full".
+const queueCap = 4096
+
 // NewManager opens the data directory, adopts any persisted jobs
 // (re-enqueueing unfinished ones in ID order), and starts workers
 // worker goroutines (min 1).
@@ -231,7 +236,6 @@ func newManager(dataDir string, reg *obs.Registry) (*Manager, error) {
 		byHash:     make(map[string]int64),
 		cancels:    make(map[int64]context.CancelFunc),
 		caches:     make(map[modelKey]map[float64]*ga.GenomeCache),
-		queue:      make(chan int64, 4096),
 		rootCtx:    ctx,
 		rootCancel: cancel,
 	}
@@ -240,6 +244,10 @@ func newManager(dataDir string, reg *obs.Registry) (*Manager, error) {
 		cancel()
 		return nil, err
 	}
+	// The queue holds every adopted job on top of Submit's queueCap, so
+	// adoption never blocks before the workers start, however many
+	// unfinished jobs the data directory holds.
+	m.queue = make(chan int64, len(resume)+queueCap)
 	for _, id := range resume {
 		m.queue <- id
 	}
@@ -724,7 +732,7 @@ func (spec JobSpec) searcher() string {
 	return spec.Searcher
 }
 
-// trainOpts maps the spec's budget knobs onto the cross-backend form.
+// trainOpts maps the spec's budget knobs onto the per-job TrainOpts.
 // HMTrees doubles as the generic tree-count override.
 func (m *Manager) trainOpts(spec JobSpec) model.TrainOpts {
 	return model.TrainOpts{
@@ -803,8 +811,8 @@ func (m *Manager) execute(ctx context.Context, id int64, spec JobSpec) (any, err
 // serve.<kind>.resumed.rows counts the rows the journal already held,
 // serve.<kind>.checkpoints each appended batch. Collect, tune_online,
 // and the fleet merge all journal through these hooks.
-func (m *Manager) jobJournal(id int64, meta, kind string) (*Journal, core.RowHooks, error) {
-	jl, err := OpenJournal(filepath.Join(m.dataDir, "journals", fmt.Sprintf("job-%d.journal", id)), meta)
+func (m *Manager) jobJournal(id int64, meta, kind string) (*journal.Journal, core.RowHooks, error) {
+	jl, err := journal.Open(filepath.Join(m.dataDir, "journals", fmt.Sprintf("job-%d.journal", id)), meta)
 	if err != nil {
 		return nil, core.RowHooks{}, err
 	}
@@ -834,7 +842,7 @@ func (m *Manager) jobJournal(id int64, meta, kind string) (*Journal, core.RowHoo
 // returns the finished set.
 func (m *Manager) collectDurable(ctx context.Context, id int64, t *core.Tuner, w *workloads.Workload) (*dataset.Set, core.Overhead, error) {
 	sizes := t.TrainingSizesMB(w.TrainingRangeMB())
-	jl, hooks, err := m.jobJournal(id, MetaHash(w.Abbr, t.Opt.Seed, t.Opt.NTrain, sizes), "collect")
+	jl, hooks, err := m.jobJournal(id, journal.MetaHash(w.Abbr, t.Opt.Seed, t.Opt.NTrain, sizes), "collect")
 	if err != nil {
 		return nil, core.Overhead{}, err
 	}
@@ -1092,7 +1100,7 @@ func (m *Manager) runTuneOnline(ctx context.Context, id int64, spec JobSpec, t *
 	onlineID := fmt.Sprintf("online:%s:%d:%d:%d:%d:%s", w.Abbr,
 		oo.ScreenSamples, oo.TopK, oo.Iterations, oo.IterBatch,
 		strconv.FormatFloat(targetMB, 'g', -1, 64))
-	jl, hooks, err := m.jobJournal(id, MetaHash(onlineID, t.Opt.Seed, oo.ScreenSamples+oo.Iterations*oo.IterBatch+1, sizes), "online")
+	jl, hooks, err := m.jobJournal(id, journal.MetaHash(onlineID, t.Opt.Seed, oo.ScreenSamples+oo.Iterations*oo.IterBatch+1, sizes), "online")
 	if err != nil {
 		return nil, err
 	}

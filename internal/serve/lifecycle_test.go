@@ -282,6 +282,98 @@ func TestAdoptionHonorsPendingCancel(t *testing.T) {
 	}
 }
 
+// TestAdoptionBeyondQueueCap writes one more unfinished job than
+// Submit's queue holds. NewManager must still return (it used to block
+// sending the last adopted ID before any worker ran), the single worker
+// must take the adopted jobs lowest ID first, Close must return
+// promptly, and every job still unfinished on disk must be adopted again
+// by the next manager.
+func TestAdoptionBeyondQueueCap(t *testing.T) {
+	dataDir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dataDir, "jobs"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	n := int64(queueCap + 1)
+	// A train job whose from_job does not exist fails as soon as it runs.
+	spec := JobSpec{Type: JobTrain, FromJob: n + 1000}
+	for id := int64(1); id <= n; id++ {
+		j := Job{ID: id, Spec: spec, State: StateQueued, SpecHash: specHash(spec), CreatedUnix: 1, UpdatedUnix: 1}
+		b, _ := json.Marshal(j)
+		if err := os.WriteFile(filepath.Join(dataDir, "jobs", fmt.Sprintf("%d.json", id)), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	type opened struct {
+		m   *Manager
+		err error
+	}
+	ch := make(chan opened, 1)
+	go func() {
+		m, err := NewManager(dataDir, 1, nil)
+		ch <- opened{m, err}
+	}()
+	var m *Manager
+	select {
+	case o := <-ch:
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		m = o.m
+	case <-time.After(30 * time.Second):
+		t.Fatalf("NewManager still blocked after 30s adopting %d jobs", n)
+	}
+
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if j, _ := m.Get(1); j.State == StateFailed {
+			break
+		}
+		if time.Now().After(deadline) {
+			m.Close()
+			t.Fatal("adopted job 1 never ran")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	start := time.Now()
+	m.Close()
+	if took := time.Since(start); took > 10*time.Second {
+		t.Fatalf("Close took %v", took)
+	}
+
+	// One worker drains the queue in ID order, so the jobs that left
+	// "queued" are exactly a prefix of the IDs.
+	left := 0
+	firstQueued := int64(0)
+	for id := int64(1); id <= n; id++ {
+		switch st := jobFileState(t, dataDir, id).State; {
+		case st == StateQueued:
+			if firstQueued == 0 {
+				firstQueued = id
+			}
+			left++
+		case firstQueued != 0:
+			t.Fatalf("job %d is %q after queued job %d: adopted jobs ran out of ID order", id, st, firstQueued)
+		case st == StateRunning:
+			// Interrupted by Close; the next manager adopts it.
+			left++
+		}
+	}
+	if left == 0 {
+		t.Fatal("every adopted job finished before Close; nothing left to re-adopt")
+	}
+
+	reg := obs.NewRegistry()
+	m2, err := newManager(dataDir, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	if got := reg.Snapshot().Counters["serve.jobs.adopted"]; got != int64(left) || len(m2.queue) != left {
+		t.Fatalf("next manager adopted %d and queued %d jobs, want %d", got, len(m2.queue), left)
+	}
+}
+
 // TestSpecNumericValidation pins satellite 2's API half: negative
 // budgets are rejected at Submit (and as HTTP 400), never silently
 // misread downstream.

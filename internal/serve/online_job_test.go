@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/workloads"
 )
@@ -123,7 +124,7 @@ func TestTuneOnlineJob(t *testing.T) {
 		t.Errorf("registered model unloadable: %v", err)
 	}
 	// The journal holds the full trajectory.
-	jl, err := OpenJournal(filepath.Join(dataDir, "journals", fmt.Sprintf("job-%d.journal", id)), onlineJournalMeta(t, m, spec, id))
+	jl, err := journal.Open(filepath.Join(dataDir, "journals", fmt.Sprintf("job-%d.journal", id)), onlineJournalMeta(t, m, spec, id))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func onlineJournalMeta(t *testing.T, m *Manager, spec JobSpec, id int64) string 
 	onlineID := fmt.Sprintf("online:%s:%d:%d:%d:%d:%s", w.Abbr,
 		oo.ScreenSamples, oo.TopK, oo.Iterations, oo.IterBatch,
 		strconv.FormatFloat(w.TargetMB(spec.Size), 'g', -1, 64))
-	return MetaHash(onlineID, tuner.Opt.Seed, oo.ScreenSamples+oo.Iterations*oo.IterBatch+1, sizes)
+	return journal.MetaHash(onlineID, tuner.Opt.Seed, oo.ScreenSamples+oo.Iterations*oo.IterBatch+1, sizes)
 }
 
 // TestTuneOnlineJobRestartResume is the tentpole's durability criterion:
@@ -204,7 +205,7 @@ func TestTuneOnlineJobRestartResume(t *testing.T) {
 	if onDisk.State != StateRunning {
 		t.Fatalf("job after shutdown is %q on disk, want %q for adoption", onDisk.State, StateRunning)
 	}
-	jl, err := OpenJournal(filepath.Join(dataDir, "journals", fmt.Sprintf("job-%d.journal", id)), onlineJournalMeta(t, m1, spec, id))
+	jl, err := journal.Open(filepath.Join(dataDir, "journals", fmt.Sprintf("job-%d.journal", id)), onlineJournalMeta(t, m1, spec, id))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,3 +1,14 @@
+// Package serve implements dacd, the long-lived tuning service: an HTTP
+// JSON API over the core pipeline with durable, resumable jobs and a
+// versioned model registry. Collect sweeps stream their rows to an
+// append-only on-disk journal as they complete, so a daemon killed
+// mid-sweep and restarted against the same data directory resumes where
+// it left off — completed rows are never re-executed, and the finished
+// training set is byte-identical to an uninterrupted run (the core
+// collector's determinism contract). Finished models land in the
+// registry, where later jobs can warm-start them via hm.Resume. With the
+// fleet coordinator enabled (DESIGN.md §15), collect sweeps shard across
+// registered workers and merge into the same journal.
 package serve
 
 import (

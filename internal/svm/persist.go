@@ -77,14 +77,11 @@ type Backend struct{ Opt Options }
 // Name implements model.Backend.
 func (Backend) Name() string { return "svm" }
 
-// options merges the cross-backend knobs into the backend's own.
+// options merges the per-job knobs into the backend's own.
 func (b Backend) options(opt model.TrainOpts) Options {
 	eff := b.Opt
 	if opt.Quick && eff.Epochs == 0 {
 		eff.Epochs = 10
-	}
-	if opt.Epochs > 0 {
-		eff.Epochs = opt.Epochs
 	}
 	if opt.Seed != 0 {
 		eff.Seed = opt.Seed
