@@ -68,11 +68,24 @@ func Load(r io.Reader) (*Network, error) {
 		yStd:  snap.YStd,
 		log:   snap.Log,
 	}
-	for _, sl := range snap.Layers {
+	// Predict feeds each layer the previous one's outputs (the
+	// standardized features first) and reads one output.
+	width := len(snap.Mean)
+	for i, sl := range snap.Layers {
 		if len(sl.W) != len(sl.B) {
 			return nil, fmt.Errorf("ann: malformed snapshot: %d weight rows, %d biases", len(sl.W), len(sl.B))
 		}
+		for _, row := range sl.W {
+			if len(row) != width {
+				return nil, fmt.Errorf("ann: malformed snapshot: layer %d has a %d-wide weight row, want %d",
+					i, len(row), width)
+			}
+		}
+		width = len(sl.W)
 		n.layers = append(n.layers, &layer{w: sl.W, b: sl.B, linear: sl.Linear})
+	}
+	if width != 1 {
+		return nil, fmt.Errorf("ann: malformed snapshot: %d outputs, want 1", width)
 	}
 	return n, nil
 }

@@ -95,11 +95,11 @@ type Options struct {
 	// Searcher.Search with the candidate budget the GA options imply
 	// (PopSize×(Generations+1), so every searcher considers as many
 	// configurations as the paper's GA would), the same derived seed, the
-	// same training-set population seeds, and the same objective and
-	// genome cache. Nil, or any search.GASearcher (the registry's
-	// "ga"), selects the paper's GA carrying the GA options above — the
-	// way a nil Sampler selects the uniform generator. A GASearcher's own
-	// Opt is replaced by GA: set the GA shape there, not on the searcher.
+	// same training-set population seeds, and the same objective. Nil, or
+	// any search.GASearcher (the registry's "ga"), selects the paper's GA
+	// carrying the GA options above — the way a nil Sampler selects the
+	// uniform generator. A GASearcher's own Opt is replaced by GA: set the
+	// GA shape there, not on the searcher.
 	Searcher search.Searcher
 	// Parallelism bounds concurrent executions while collecting
 	// (0 = GOMAXPROCS). The simulated cluster cost is unaffected.
@@ -450,7 +450,6 @@ func runSearcher(s search.Searcher, space *conf.Space, obj ga.Objective, init []
 		Seed:    gaOpt.Seed,
 		Init:    init,
 		Workers: gaOpt.Workers,
-		Cache:   gaOpt.Cache,
 		Obs:     gaOpt.Obs,
 	})
 }

@@ -437,15 +437,13 @@ type onlineSearch struct {
 // searchSubspace runs the GA over the screened subspace against m at
 // dsizeMB, with guard-rejected genomes penalized out of contention. The
 // population is seeded from the subspace projections of the best
-// observed rows. Genome caches are never shared with full-space
-// searches — the genome layouts differ. Each call is one interval of
-// parent's "search" child span.
+// observed rows. Each call is one interval of parent's "search" child
+// span.
 func (t *Tuner) searchSubspace(parent *obs.Span, m model.Model, ss *conf.SubSpace, set *dataset.Set, dsizeMB float64, gaSeed int64, guard OOMGuard) (onlineSearch, error) {
 	defer parent.Child("search").End()
 	opt := t.Opt.withDefaults()
 	gaOpt := t.obsGA(opt.GA)
 	gaOpt.Seed = gaSeed
-	gaOpt.Cache = nil
 	// Each block's genomes are expanded and guard-vetted one by one; the
 	// survivors are scored together in one model.PredictBatch call.
 	var rejected atomic.Int64

@@ -28,9 +28,8 @@ func sameSearch(t *testing.T, label string, ref, got Result) {
 }
 
 // TestEvaluationModesEquivalent pins the evaluation contract:
-// worker-pool evaluation and a caller-supplied cache must each leave the
-// search result bit-identical to the serial reference (Workers=1,
-// run-private cache), for several seeds.
+// worker-pool evaluation must leave the search result bit-identical to
+// the serial reference (Workers=1), for several seeds.
 // Every genome of every generation is scored exactly once, by the
 // objective or by the cache.
 func TestEvaluationModesEquivalent(t *testing.T) {
@@ -54,7 +53,6 @@ func TestEvaluationModesEquivalent(t *testing.T) {
 			{"reference", func(o *Options) { o.Workers = 1 }},
 			{"workers=2", func(o *Options) { o.Workers = 2 }},
 			{"workers=gomaxprocs", func(o *Options) {}},
-			{"shared-cache", func(o *Options) { o.Workers = 1; o.Cache = NewGenomeCache() }},
 		} {
 			opt := base
 			tc.mut(&opt)

@@ -9,84 +9,12 @@ import (
 )
 
 // GenomeCache memoizes objective values keyed on the exact gene bits of a
-// genome. It is sharded by genome hash — one mutex-guarded map per shard,
-// with the shard count rounded up to a power of two at or above
-// GOMAXPROCS — so concurrent searches sharing one cache (the daemon runs
-// several search jobs at once) spread their lookups across shards instead
-// of contending on a single map.
-//
-// A cache may only be shared between searches whose objectives are
-// identical: the key is the genome alone, so two searches minimizing
-// different functions (a different model, or the same model at a
-// different target datasize) would poison each other's values. Minimize
-// creates a private cache per run unless Options.Cache injects a shared
-// one.
-type GenomeCache struct {
-	shards []cacheShard
-	shift  uint // 64 − log2(len(shards)): a hash's top bits pick its shard
-}
-
-type cacheShard struct {
-	mu sync.Mutex
-	m  map[string]float64
-}
-
-// NewGenomeCache returns an empty unbounded cache with
-// GOMAXPROCS-proportional sharding.
-func NewGenomeCache() *GenomeCache {
-	n, shift := 1, uint(64)
-	for n < runtime.GOMAXPROCS(0) {
-		n <<= 1
-		shift--
-	}
-	c := &GenomeCache{shards: make([]cacheShard, n), shift: shift}
-	for i := range c.shards {
-		c.shards[i].m = make(map[string]float64)
-	}
-	return c
-}
-
-// FNV-1a constants, matching hash/fnv's 64a variant.
-const (
-	cacheFNVOffset uint64 = 14695981039346656037
-	cacheFNVPrime  uint64 = 1099511628211
-)
-
-// shard picks the shard for a genome key. It runs FNV-1a over the key's
-// 8-byte words rather than its bytes — a key is one word per gene — and
-// takes the hash's top bits: a multiply carries each bit only upward, and
-// an integral gene's float64 bits are zero in every low mantissa byte, so
-// only the top bits depend on every gene. The shard decides only which
-// lock a key takes, never its value.
-func (c *GenomeCache) shard(key string) *cacheShard {
-	h := cacheFNVOffset
-	for ; len(key) >= 8; key = key[8:] {
-		w := uint64(key[0]) | uint64(key[1])<<8 | uint64(key[2])<<16 | uint64(key[3])<<24 |
-			uint64(key[4])<<32 | uint64(key[5])<<40 | uint64(key[6])<<48 | uint64(key[7])<<56
-		h = (h ^ w) * cacheFNVPrime
-	}
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint64(key[i])) * cacheFNVPrime
-	}
-	return &c.shards[h>>c.shift]
-}
-
-// Lookup returns the memoized value for the genome key, if present.
-func (c *GenomeCache) Lookup(key string) (float64, bool) {
-	s := c.shard(key)
-	s.mu.Lock()
-	v, ok := s.m[key]
-	s.mu.Unlock()
-	return v, ok
-}
-
-// Store memoizes the value for the genome key.
-func (c *GenomeCache) Store(key string, v float64) {
-	s := c.shard(key)
-	s.mu.Lock()
-	s.m[key] = v
-	s.mu.Unlock()
-}
+// genome (see Key). It belongs to one search run: Minimize and TPE each
+// make a fresh one per call, and Evaluate reads and writes it on the
+// caller's goroutine only, so it needs no lock. The key is the genome
+// alone, so a cache is only valid for the one objective it was filled
+// against.
+type GenomeCache map[string]float64
 
 // Key encodes a vector's exact float64 bits as a string, 8 bytes per
 // element, little-endian, in one allocation. Two vectors share a key if
@@ -123,19 +51,17 @@ func Key(x []float64) string {
 // interleaves the chunks' cache footprints. It returns the number of rows the objective scored and
 // the number served by the cache or an earlier duplicate in the block;
 // the two sum to len(X).
-func Evaluate(obj Objective, cache *GenomeCache, workers int, X [][]float64, out []float64) (evaluated, hits int) {
+func Evaluate(obj Objective, cache GenomeCache, workers int, X [][]float64, out []float64) (evaluated, hits int) {
 	var uniq [][]float64
 	var keys []string
 	slot := make([]int, len(X)) // index into uniq, or -1 for a cache hit
 	seen := make(map[string]int, len(X))
 	for i, x := range X {
 		k := Key(x)
-		if cache != nil {
-			if v, ok := cache.Lookup(k); ok {
-				out[i] = v
-				slot[i] = -1
-				continue
-			}
+		if v, ok := cache[k]; ok {
+			out[i] = v
+			slot[i] = -1
+			continue
 		}
 		j, ok := seen[k]
 		if !ok {
@@ -167,7 +93,7 @@ func Evaluate(obj Objective, cache *GenomeCache, workers int, X [][]float64, out
 	}
 	if cache != nil {
 		for j, v := range vals {
-			cache.Store(keys[j], v)
+			cache[keys[j]] = v
 		}
 	}
 	for i, j := range slot {
@@ -176,16 +102,4 @@ func Evaluate(obj Objective, cache *GenomeCache, workers int, X [][]float64, out
 		}
 	}
 	return m, len(X) - m
-}
-
-// Len returns the number of memoized genomes across all shards.
-func (c *GenomeCache) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += len(s.m)
-		s.mu.Unlock()
-	}
-	return n
 }

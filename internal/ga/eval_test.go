@@ -31,7 +31,7 @@ func (c *countingObjective) objective(X [][]float64, out []float64) {
 }
 
 // TestEvaluateSharedEvaluator pins the one evaluator's contract on
-// blocks with in-block duplicates against a pre-populated shared cache,
+// blocks with in-block duplicates against a pre-populated cache,
 // at Workers 1, 2 and 4 and GOMAXPROCS 1 and 4: the values are identical
 // in every setting (cached rows replay their stored value), every row is
 // either evaluated or a hit, and the objective sees each unique unseen
@@ -75,9 +75,9 @@ func TestEvaluateSharedEvaluator(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		for _, workers := range []int{1, 2, 4} {
 			prev := runtime.GOMAXPROCS(procs)
-			cache := NewGenomeCache()
+			cache := GenomeCache{}
 			for i := 0; i < precached; i++ {
-				cache.Store(Key(distinct[i]), sentinel(i))
+				cache[Key(distinct[i])] = sentinel(i)
 			}
 			obj := &countingObjective{f: f, calls: map[string]int{}}
 			var got [2][]float64

@@ -62,16 +62,6 @@ type Options struct {
 	// for any value; with Workers != 1 the objective must be safe for
 	// concurrent calls.
 	Workers int
-	// Cache, when non-nil, replaces the run-private genome memo cache
-	// with a shared one, letting repeated searches of the same objective
-	// (the daemon's idempotent search traffic) replay each other's
-	// evaluations. The cache is sharded by genome hash, so concurrent
-	// Minimize calls sharing it do not contend on one map. Callers must
-	// only share a cache between searches whose objectives are identical
-	// — the key is the genome alone. The search result is identical with
-	// or without sharing; only Evaluations and CacheHits shift (replays
-	// replace objective calls, counted exactly).
-	Cache *GenomeCache
 	// Seed drives all randomness.
 	Seed int64
 	// Obs, when non-nil, receives search metrics: runs, generations,
@@ -171,12 +161,8 @@ func Minimize(space *conf.Space, obj Objective, init [][]float64, opt Options) R
 
 	// Genome memoization: fitness keyed on the exact gene bits, so
 	// repeated individuals (elites, duplicate children late in a
-	// converged run) never reach the objective again. The cache is the
-	// sharded kind either way; a run-private one simply never contends.
-	cache := opt.Cache
-	if cache == nil {
-		cache = NewGenomeCache()
-	}
+	// converged run) never reach the objective again.
+	cache := GenomeCache{}
 
 	// evaluate scores the population through the shared evaluator, then
 	// scans it serially in population order, so the best-individual

@@ -33,10 +33,6 @@ type Options struct {
 	// default, min(GOMAXPROCS, NumCPU)). The result is identical for any
 	// value.
 	Workers int
-	// Cache, when non-nil, shares memoized fitness values between
-	// searches of the identical objective (the daemon's idempotent
-	// search traffic). Only searchers that memoize use it.
-	Cache *ga.GenomeCache
 	// Obs, when non-nil, receives "search.<name>" spans and
 	// "search.<name>.evaluations" counters. Recording never perturbs
 	// the search.
@@ -119,7 +115,7 @@ func Default() *Registry {
 
 // funcSearcher adapts the package's free searcher functions to the
 // Searcher interface. The free functions take their whole budget as
-// objective evaluations and ignore Init/Workers/Cache (Random
+// objective evaluations and ignore Init and Workers (Random
 // parallelizes internally; the others are inherently sequential). Like
 // GASearcher and TPE, it counts the run's Result.Evaluations under
 // "search.<name>.evaluations".
@@ -177,9 +173,6 @@ func (g GASearcher) Search(space *conf.Space, obj Objective, opt Options) Result
 	gaOpt.Seed = opt.Seed
 	if gaOpt.Workers == 0 {
 		gaOpt.Workers = opt.Workers
-	}
-	if gaOpt.Cache == nil {
-		gaOpt.Cache = opt.Cache
 	}
 	if gaOpt.Obs == nil {
 		gaOpt.Obs = opt.Obs

@@ -210,26 +210,3 @@ func TestTPEUsesInitSeeds(t *testing.T) {
 		t.Errorf("best %.6f worse than the seeded vector's %.6f", res.BestFitness, at)
 	}
 }
-
-// TestTPECacheInvariance pins the Options contract that cache state
-// never changes the search trajectory — only how many objective calls
-// are real. A warm shared cache must reproduce the cold run's best,
-// fitness, and history with fewer (or equal) real evaluations.
-func TestTPECacheInvariance(t *testing.T) {
-	space := conf.StandardSpace()
-	obj := sphere(space)
-	cache := ga.NewGenomeCache()
-	opt := Options{Budget: 300, Seed: 7, Cache: cache}
-	cold := (&TPE{}).Search(space, obj, opt)
-	warm := (&TPE{}).Search(space, obj, opt)
-	if !reflect.DeepEqual(cold.Best, warm.Best) || cold.BestFitness != warm.BestFitness {
-		t.Error("warm-cache run found a different best")
-	}
-	if !reflect.DeepEqual(cold.History, warm.History) {
-		t.Error("warm-cache run followed a different history")
-	}
-	if warm.Evaluations > cold.Evaluations {
-		t.Errorf("warm run made more real evaluations (%d) than cold (%d)",
-			warm.Evaluations, cold.Evaluations)
-	}
-}

@@ -105,10 +105,7 @@ func (t *TPE) Search(space *conf.Space, obj Objective, opt Options) Result {
 	rng := rand.New(rand.NewSource(opt.Seed))
 	d := space.Len()
 
-	cache := opt.Cache
-	if cache == nil {
-		cache = ga.NewGenomeCache()
-	}
+	cache := ga.GenomeCache{}
 
 	// The observation history the densities are fit to.
 	xs := make([][]float64, 0, opt.Budget)
@@ -116,8 +113,7 @@ func (t *TPE) Search(space *conf.Space, obj Objective, opt Options) Result {
 
 	// evalBatch scores a block of candidates through the shared
 	// evaluator, then appends them to the history in candidate order —
-	// so the best-so-far tie-breaking is identical at any worker count
-	// or cache state.
+	// so the best-so-far tie-breaking is identical at any worker count.
 	evalBatch := func(X [][]float64) {
 		fitX := make([]float64, len(X))
 		n, hits := ga.Evaluate(obj, cache, opt.Workers, X, fitX)

@@ -395,37 +395,6 @@ func TestHotCacheFirstReadsRaceSaves(t *testing.T) {
 	}
 }
 
-// TestHotCacheGCDropsSearchCaches pins that registry GC drops the GA
-// genome caches of the versions it prunes: with one version kept, saving
-// v2 deletes v1 and every search cache keyed on it, and a search that
-// asks for v1's cache after the prune gets one that nothing keeps.
-func TestHotCacheGCDropsSearchCaches(t *testing.T) {
-	s, err := NewServerOpts(t.TempDir(), ServerOptions{Workers: 1, GCKeepVersions: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	mgr := s.Manager()
-	cached := func(version int) bool {
-		mgr.mu.Lock()
-		defer mgr.mu.Unlock()
-		_, ok := mgr.caches[modelKey{"m", version}]
-		return ok
-	}
-	saveJobModel(t, mgr.Models(), "m", 1, 801)
-	shared := mgr.cacheFor("m", 1, 30)
-	if !cached(1) || mgr.cacheFor("m", 1, 30) != shared {
-		t.Fatal("a registered version's search cache is not shared")
-	}
-	saveJobModel(t, mgr.Models(), "m", 2, 802)
-	if cached(1) {
-		t.Fatal("a search cache for m@v1 remains after GC pruned v1")
-	}
-	if late := mgr.cacheFor("m", 1, 30); late == shared || cached(1) {
-		t.Fatal("a search of pruned m@v1 was handed a cache the manager keeps")
-	}
-}
-
 // TestHotCacheGCUnpinsPrunedVersions pins the save hook's prune side:
 // a version registry GC deletes is unpinned, so explicit-version reads
 // of it fail as they do against the registry, and a served name whose

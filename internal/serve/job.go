@@ -175,10 +175,6 @@ type Manager struct {
 	byHash  map[string]int64 // spec hash → most recent job with it
 	cancels map[int64]context.CancelFunc
 	nextID  int64
-	// caches holds the shared GA genome caches of each model version by
-	// target size; dropCaches deletes a version's when registry GC
-	// prunes it.
-	caches map[modelKey]map[float64]*ga.GenomeCache
 
 	queue      chan int64
 	wg         sync.WaitGroup
@@ -235,7 +231,6 @@ func newManager(dataDir string, reg *obs.Registry) (*Manager, error) {
 		jobs:       make(map[int64]*Job),
 		byHash:     make(map[string]int64),
 		cancels:    make(map[int64]context.CancelFunc),
-		caches:     make(map[modelKey]map[float64]*ga.GenomeCache),
 		rootCtx:    ctx,
 		rootCancel: cancel,
 	}
@@ -520,43 +515,6 @@ func (m *Manager) Cancel(id int64) error {
 
 // Models exposes the registry (shared with the HTTP layer).
 func (m *Manager) Models() *ModelRegistry { return m.models }
-
-// cacheFor returns the shared GA genome cache for one (model version,
-// target size) — the only granularity at which genome fitness values are
-// interchangeable, since the cache key is the genome alone.
-func (m *Manager) cacheFor(model string, version int, dsizeMB float64) *ga.GenomeCache {
-	key := modelKey{model, version}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	// GC deletes a version's files before its dropCaches call, which
-	// takes m.mu, so a cache stored here is either dropped by that call
-	// or keyed on a live version. A search of a version pruned since it
-	// was loaded gets a cache of its own that nothing keeps.
-	if !m.models.has(model, version) {
-		return ga.NewGenomeCache()
-	}
-	bySize := m.caches[key]
-	if bySize == nil {
-		bySize = make(map[float64]*ga.GenomeCache)
-		m.caches[key] = bySize
-	}
-	c, ok := bySize[dsizeMB]
-	if !ok {
-		c = ga.NewGenomeCache()
-		bySize[dsizeMB] = c
-	}
-	return c
-}
-
-// dropCaches deletes the genome caches of model versions that registry
-// GC pruned: no search can load those versions again.
-func (m *Manager) dropCaches(model string, versions []int) {
-	m.mu.Lock()
-	for _, v := range versions {
-		delete(m.caches, modelKey{model, v})
-	}
-	m.mu.Unlock()
-}
 
 func (m *Manager) persistLocked(j *Job) error {
 	path := filepath.Join(m.dataDir, "jobs", fmt.Sprintf("%d.json", j.ID))
@@ -1001,10 +959,6 @@ func (m *Manager) runSearch(ctx context.Context, id int64, spec JobSpec, t *core
 	}
 	targetMB := w.TargetMB(spec.Size)
 	m.setProgress(id, Progress{Phase: "search"})
-	// Identical (model version, dsize) searches share genome fitness
-	// values: repeated idempotent search traffic replays instead of
-	// re-evaluating.
-	t.Opt.GA.Cache = m.cacheFor(meta.Name, meta.Version, targetMB)
 	cfg, pred, gaRes, _, err := t.Search(mdl, targetMB, nil)
 	if err != nil {
 		return nil, err

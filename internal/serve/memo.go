@@ -23,10 +23,10 @@ import (
 // admission window of W-TinyLFU (Einziger et al., ACM TOS 2017), without
 // the frequency sketch.
 //
-// Like ga.GenomeCache, the memo is sharded by key hash — one mutex per
-// shard, the shard count rounded up to a power of two at or above
-// GOMAXPROCS — and each shard keeps its own ring and its own share of
-// the cap.
+// Every predict handler reads the memo at once, so it is sharded by key
+// hash — one mutex per shard, the shard count rounded up to a power of
+// two at or above GOMAXPROCS — and each shard keeps its own ring and its
+// own share of the cap.
 type memo struct {
 	shards []memoShard
 	shift  uint // 64 − log2(len(shards)): a hash's top bits pick its shard

@@ -165,8 +165,7 @@ func (r *ModelRegistry) gcLocked(name string) ([]int, error) {
 // SetOnSave registers the hook invoked (outside the registry lock) after
 // every successful Save, once, with the saved version's metadata and the
 // versions GC pruned after it. The daemon points it at its hot cache's
-// Refresh and its job manager's search-cache drop, so new versions swap
-// in and pruned ones leave as they happen.
+// Refresh, so new versions swap in and pruned ones leave as they happen.
 func (r *ModelRegistry) SetOnSave(fn func(meta ModelMeta, pruned []int)) {
 	r.mu.Lock()
 	r.onSave = fn
@@ -293,18 +292,6 @@ func (r *ModelRegistry) Load(name string, version int) (model.Model, ModelMeta, 
 		return nil, ModelMeta{}, fmt.Errorf("serve: model %s@v%d: %w", name, version, err)
 	}
 	return m, meta, nil
-}
-
-// has reports whether version of name is registered (GC has not pruned
-// it).
-func (r *ModelRegistry) has(name string, version int) bool {
-	if validName(name) != nil {
-		return false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	_, err := os.Stat(filepath.Join(r.dir, name, fmt.Sprintf("v%d.model", version)))
-	return err == nil
 }
 
 // Versions returns the metadata of every version of name, ascending.

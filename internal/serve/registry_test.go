@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -311,6 +312,13 @@ func TestRegistryGC(t *testing.T) {
 	}
 }
 
+// registered reports whether version of name has a model file in reg
+// (GC has not pruned it).
+func registered(reg *ModelRegistry, name string, version int) bool {
+	_, err := os.Stat(filepath.Join(reg.dir, name, fmt.Sprintf("v%d.model", version)))
+	return err == nil
+}
+
 // TestRegistrySaveHookFiresOncePerSave pins the registry's one event:
 // each Save fires the hook exactly once, after GC, with the saved
 // version's metadata and the versions GC pruned for it, and EnableGC's
@@ -326,11 +334,11 @@ func TestRegistrySaveHookFiresOncePerSave(t *testing.T) {
 	}
 	var events []event
 	reg.SetOnSave(func(meta ModelMeta, pruned []int) {
-		if meta.Name != "ts" || !reg.has("ts", meta.Version) {
+		if meta.Name != "ts" || !registered(reg, "ts", meta.Version) {
 			t.Errorf("hook got %s@v%d, which is not registered", meta.Name, meta.Version)
 		}
 		for _, v := range pruned {
-			if reg.has("ts", v) {
+			if registered(reg, "ts", v) {
 				t.Errorf("hook reported ts@v%d pruned before GC deleted it", v)
 			}
 		}

@@ -145,14 +145,10 @@ func NewServerOpts(dataDir string, opt ServerOptions) (*Server, error) {
 		s.fleet.Routes(s.mux, s.requireAuth)
 	}
 	s.cache = NewModelCache(mgr.Models(), opt.Serving, reg)
-	// Every registration reaches the daemon's per-version state as one
-	// event: versions GC pruned leave the search caches and the hot
-	// cache, and the new version swaps in, so version-0 predicts follow
-	// retrains immediately.
-	mgr.Models().SetOnSave(func(meta ModelMeta, pruned []int) {
-		mgr.dropCaches(meta.Name, pruned)
-		s.cache.Refresh(meta, pruned)
-	})
+	// Every registration reaches the hot cache as one event: versions GC
+	// pruned leave it and the new version swaps in, so version-0
+	// predicts follow retrains immediately.
+	mgr.Models().SetOnSave(s.cache.Refresh)
 	mgr.start(opt.Workers)
 	// Warm every registry latest now, instead of faulting decodes on the
 	// first predicts after a restart.

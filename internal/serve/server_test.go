@@ -203,8 +203,6 @@ func TestHTTPTuneMatchesCLI(t *testing.T) {
 	var s1, s2 struct {
 		Vector       []float64 `json:"vector"`
 		PredictedSec float64   `json:"predicted_sec"`
-		Evaluations  int       `json:"ga_evaluations"`
-		CacheHits    int       `json:"ga_cache_hits"`
 	}
 	js1 := submitAndWait(t, ts.URL, searchSpec, time.Minute)
 	if js1.State != StateDone {
@@ -226,9 +224,8 @@ func TestHTTPTuneMatchesCLI(t *testing.T) {
 		t.Fatal("serve.jobs.deduped counter not bumped")
 	}
 
-	// A search that extends the GA budget is a different spec (no dedup)
-	// but replays the generations it shares with the first run from the
-	// (model version, size) genome cache.
+	// A search that extends the GA budget is a different spec: it runs
+	// as a job of its own.
 	extSpec := searchSpec
 	extSpec.GAGenerations = tuneBudget.GAGenerations + 2
 	js3 := submitAndWait(t, ts.URL, extSpec, time.Minute)
@@ -237,13 +234,6 @@ func TestHTTPTuneMatchesCLI(t *testing.T) {
 	}
 	if js3.ID == js1.ID {
 		t.Fatal("a different spec must not dedup onto the original search")
-	}
-	var s3 struct {
-		CacheHits int `json:"ga_cache_hits"`
-	}
-	json.Unmarshal(js3.Result, &s3)
-	if s3.CacheHits == 0 {
-		t.Fatal("extended search shared no genome fitness with the first run")
 	}
 	srvModel, _, err := srv.Manager().Models().Load("ts", 1)
 	if err != nil {

@@ -61,9 +61,6 @@ func TestMinMaxSum(t *testing.T) {
 	if got := Max(xs); got != 7 {
 		t.Errorf("Max=%v", got)
 	}
-	if got := Sum(xs); got != 11 {
-		t.Errorf("Sum=%v", got)
-	}
 	if !math.IsInf(Min(nil), 1) || !math.IsInf(Max(nil), -1) {
 		t.Error("empty Min/Max should be ±Inf")
 	}
@@ -100,18 +97,6 @@ func TestPercentile(t *testing.T) {
 func TestMedian(t *testing.T) {
 	if got := Median([]float64{9, 1, 5}); got != 5 {
 		t.Errorf("Median=%v", got)
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if got := Clamp(5, 0, 3); got != 3 {
-		t.Errorf("Clamp high=%v", got)
-	}
-	if got := Clamp(-5, 0, 3); got != 0 {
-		t.Errorf("Clamp low=%v", got)
-	}
-	if got := Clamp(2, 0, 3); got != 2 {
-		t.Errorf("Clamp mid=%v", got)
 	}
 }
 

@@ -58,6 +58,12 @@ func Load(r io.Reader) (*SVR, error) {
 		return nil, fmt.Errorf("svm: malformed snapshot: %d support vectors, %d coefficients",
 			len(snap.SV), len(snap.Alpha))
 	}
+	for i, sv := range snap.SV {
+		if len(sv) != len(snap.Mean) {
+			return nil, fmt.Errorf("svm: malformed snapshot: support vector %d has %d entries, want %d",
+				i, len(sv), len(snap.Mean))
+		}
+	}
 	return &SVR{
 		std:   &model.Standardizer{Mean: snap.Mean, Std: snap.Std},
 		sv:    snap.SV,

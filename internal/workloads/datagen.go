@@ -13,90 +13,6 @@ import (
 // synthesize actual records deterministically so examples and tests can
 // demonstrate (and verify) the bytes-per-unit scales the workloads declare.
 
-// GenPoints writes n KMeans points with dim features each, one point per
-// line, and returns the number of bytes written. Records average the
-// ~0.22 KB the motivation study implies.
-func GenPoints(w io.Writer, n int, dim int, seed int64) (int64, error) {
-	rng := rand.New(rand.NewSource(seed))
-	bw := bufio.NewWriter(w)
-	var written int64
-	for i := 0; i < n; i++ {
-		for d := 0; d < dim; d++ {
-			if d > 0 {
-				if err := bw.WriteByte(' '); err != nil {
-					return written, err
-				}
-				written++
-			}
-			s := fmt.Sprintf("%.6f", rng.NormFloat64()*10)
-			k, err := bw.WriteString(s)
-			written += int64(k)
-			if err != nil {
-				return written, err
-			}
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return written, err
-		}
-		written++
-	}
-	return written, bw.Flush()
-}
-
-// GenPages writes n synthetic web pages (id, outlinks, word payload) for
-// PageRank/Bayes-style inputs and returns the bytes written. meanWords
-// controls page size.
-func GenPages(w io.Writer, n int, meanWords int, seed int64) (int64, error) {
-	rng := rand.New(rand.NewSource(seed))
-	bw := bufio.NewWriter(w)
-	var written int64
-	emit := func(s string) error {
-		k, err := bw.WriteString(s)
-		written += int64(k)
-		return err
-	}
-	for i := 0; i < n; i++ {
-		if err := emit(fmt.Sprintf("page%d\t", i)); err != nil {
-			return written, err
-		}
-		links := 1 + rng.Intn(10)
-		for l := 0; l < links; l++ {
-			if err := emit(fmt.Sprintf("page%d,", rng.Intn(n))); err != nil {
-				return written, err
-			}
-		}
-		words := meanWords/2 + rng.Intn(meanWords+1)
-		for k := 0; k < words; k++ {
-			if err := emit(fmt.Sprintf(" w%d", zipf(rng, 50000))); err != nil {
-				return written, err
-			}
-		}
-		if err := emit("\n"); err != nil {
-			return written, err
-		}
-	}
-	return written, bw.Flush()
-}
-
-// GenEdges writes n graph edges ("src dst weight") for NWeight and returns
-// the bytes written. Degrees follow a heavy-tailed distribution so graph
-// partitions skew the way GraphX workloads do.
-func GenEdges(w io.Writer, n int, vertices int, seed int64) (int64, error) {
-	rng := rand.New(rand.NewSource(seed))
-	bw := bufio.NewWriter(w)
-	var written int64
-	for i := 0; i < n; i++ {
-		src := zipf(rng, vertices)
-		dst := rng.Intn(vertices)
-		k, err := fmt.Fprintf(bw, "%d %d %.3f\n", src, dst, rng.Float64())
-		written += int64(k)
-		if err != nil {
-			return written, err
-		}
-	}
-	return written, bw.Flush()
-}
-
 // GenText writes approximately sizeBytes of whitespace-separated words with
 // a Zipfian vocabulary (WordCount's input) and returns the bytes written.
 func GenText(w io.Writer, sizeBytes int64, seed int64) (int64, error) {

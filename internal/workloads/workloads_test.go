@@ -167,60 +167,6 @@ func TestKMeansIterateDominates(t *testing.T) {
 	}
 }
 
-func TestGenPoints(t *testing.T) {
-	var buf bytes.Buffer
-	n, err := GenPoints(&buf, 100, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(buf.Len()) {
-		t.Errorf("reported %d bytes, buffer has %d", n, buf.Len())
-	}
-	lines := bytes.Count(buf.Bytes(), []byte{'\n'})
-	if lines != 100 {
-		t.Errorf("%d lines, want 100", lines)
-	}
-	// Determinism.
-	var buf2 bytes.Buffer
-	GenPoints(&buf2, 100, 3, 1)
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Error("same seed produced different data")
-	}
-	var buf3 bytes.Buffer
-	GenPoints(&buf3, 100, 3, 2)
-	if bytes.Equal(buf.Bytes(), buf3.Bytes()) {
-		t.Error("different seeds produced identical data")
-	}
-}
-
-func TestGenPages(t *testing.T) {
-	var buf bytes.Buffer
-	n, err := GenPages(&buf, 50, 20, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(buf.Len()) || n == 0 {
-		t.Errorf("byte accounting wrong: %d vs %d", n, buf.Len())
-	}
-	if lines := bytes.Count(buf.Bytes(), []byte{'\n'}); lines != 50 {
-		t.Errorf("%d pages, want 50", lines)
-	}
-}
-
-func TestGenEdges(t *testing.T) {
-	var buf bytes.Buffer
-	n, err := GenEdges(&buf, 200, 1000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(buf.Len()) {
-		t.Errorf("byte accounting wrong")
-	}
-	if lines := bytes.Count(buf.Bytes(), []byte{'\n'}); lines != 200 {
-		t.Errorf("%d edges, want 200", lines)
-	}
-}
-
 func TestGenText(t *testing.T) {
 	var buf bytes.Buffer
 	n, err := GenText(&buf, 10000, 1)
