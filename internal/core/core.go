@@ -171,7 +171,9 @@ type Overhead struct {
 	CollectClusterHours float64
 	// ModelTrainSec is the wall-clock time spent training the model.
 	ModelTrainSec float64
-	// SearchSec is the wall-clock time spent searching per target size.
+	// SearchSec is the wall-clock time spent searching, summed over the
+	// target sizes. A tune searches its targets concurrently, so the sum
+	// can exceed the search phase's elapsed time.
 	SearchSec float64
 }
 
@@ -416,20 +418,45 @@ func (t *Tuner) tuneCollected(root *obs.Span, set *dataset.Set, ovC Overhead, ta
 	}
 	seedRng := rand.New(rand.NewSource(t.Opt.withDefaults().Seed + 5))
 	seeds := seedConfsFrom(set, t.Opt.withDefaults().GA.PopSize, seedRng)
+
+	// One search per target size, all at once. Each search owns its
+	// seed, memo and evaluator fan-out and only reads the model and the
+	// seed population, so its result is the one a lone Search returns;
+	// results land by target index, progress counts completions on this
+	// goroutine, and the first error in target order wins.
+	type searched struct {
+		cfg  conf.Config
+		pred float64
+		ga   ga.Result
+		ov   Overhead
+		err  error
+	}
+	results := make([]searched, len(targetsMB))
+	done := make(chan struct{}, len(targetsMB)) // one send per search, never blocks
 	for k, target := range targetsMB {
-		ss := root.Child("search")
-		cfg, pred, gaRes, ovS, err := t.search(m, target, seeds)
-		ss.End()
-		if err != nil {
-			return nil, err
-		}
-		out.Best[target] = cfg
-		out.PredictedSec[target] = pred
-		out.GA[target] = gaRes
-		out.Overhead.SearchSec += ovS.SearchSec
+		go func() {
+			ss := root.Child("search")
+			r := &results[k]
+			r.cfg, r.pred, r.ga, r.ov, r.err = t.search(m, target, seeds)
+			ss.End()
+			done <- struct{}{}
+		}()
+	}
+	for k := range targetsMB {
+		<-done
 		if progress != nil {
 			progress("search", k+1, len(targetsMB))
 		}
+	}
+	for k, target := range targetsMB {
+		r := results[k]
+		if r.err != nil {
+			return nil, r.err
+		}
+		out.Best[target] = r.cfg
+		out.PredictedSec[target] = r.pred
+		out.GA[target] = r.ga
+		out.Overhead.SearchSec += r.ov.SearchSec
 	}
 	return out, nil
 }

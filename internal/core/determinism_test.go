@@ -249,3 +249,73 @@ func TestRegistryGAMatchesDefault(t *testing.T) {
 		}
 	}
 }
+
+// TestConcurrentSearchesMatchSerial pins the concurrent per-target
+// search: a five-target TuneCollected, whose searches run at once, must
+// return for every target exactly what a lone Search call returns when
+// the targets are searched one at a time — best vector, prediction, GA
+// history and evaluation count — at GOMAXPROCS 1 and 4, and the
+// "search" progress calls must count completions 1..n in order.
+func TestConcurrentSearchesMatchSerial(t *testing.T) {
+	w, err := workloads.ByAbbr("PR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := sparksim.New(cluster.Standard(), 8)
+	tuner := &Tuner{
+		Space: conf.StandardSpace(),
+		Exec:  NewSimExecutor(sim, &w.Program),
+		Opt: Options{
+			NTrain: 120,
+			HM:     hm.Options{Trees: 60, LearningRate: 0.1, TreeComplexity: 5},
+			GA:     ga.Options{PopSize: 20, Generations: 10},
+			Seed:   2,
+		},
+		Obs: obs.NewRegistry(),
+	}
+	targets := w.SizesMB()
+	if len(targets) != 5 {
+		t.Fatalf("%s has %d target sizes, want 5", w.Abbr, len(targets))
+	}
+	set, ovC, err := tuner.Collect(tuner.TrainingSizesMB(targets[0]*0.8, targets[len(targets)-1]*1.1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		var searched []int
+		res, err := tuner.TuneCollected(set, ovC, targets, func(phase string, done, total int) {
+			if phase == "search" {
+				searched = append(searched, done)
+			}
+		})
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, done := range searched {
+			if done != k+1 {
+				t.Fatalf("GOMAXPROCS=%d: search progress %v, want 1..%d", procs, searched, len(targets))
+			}
+		}
+		if len(searched) != len(targets) {
+			t.Fatalf("GOMAXPROCS=%d: search progress %v, want 1..%d", procs, searched, len(targets))
+		}
+		seeds := seedConfsFrom(set, tuner.Opt.GA.PopSize, rand.New(rand.NewSource(tuner.Opt.Seed+5)))
+		for _, target := range targets {
+			cfg, pred, gaRes, _, err := tuner.Search(res.Model, target, seeds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := res.GA[target]
+			if !reflect.DeepEqual(res.Best[target].Vector(), cfg.Vector()) || res.PredictedSec[target] != pred {
+				t.Errorf("GOMAXPROCS=%d, %.0f MB: concurrent search tuned %v (%v), lone search %v (%v)",
+					procs, target, res.Best[target].Vector(), res.PredictedSec[target], cfg.Vector(), pred)
+			}
+			if !reflect.DeepEqual(got.History, gaRes.History) || got.Evaluations != gaRes.Evaluations {
+				t.Errorf("GOMAXPROCS=%d, %.0f MB: GA history or evaluations differ: %d vs %d evaluations",
+					procs, target, got.Evaluations, gaRes.Evaluations)
+			}
+		}
+	}
+}

@@ -73,6 +73,31 @@ func TestEvaluationModesEquivalent(t *testing.T) {
 	}
 }
 
+// TestOneGenerationMemoMatchesUnmemoized pins the memo's scope: Minimize,
+// which replays only genomes of the last evaluated population, must find
+// exactly what the same GA finds when it scores every row of every
+// generation, and each of the PopSize·(Generations+1) considered rows is
+// either scored or replayed.
+func TestOneGenerationMemoMatchesUnmemoized(t *testing.T) {
+	space := conf.StandardSpace()
+	obj := Scalar(sphere(space))
+	for _, seed := range []int64{1, 7, 42} {
+		opt := Options{PopSize: 30, Generations: 40, Seed: seed}
+		ref := minimize(space, nil, opt, func(pop [][]float64, fit []float64) (int, int) {
+			obj(pop, fit)
+			return len(pop), 0
+		})
+		got := Minimize(space, obj, nil, opt)
+		sameSearch(t, "one-generation memo", ref, got)
+		if got.Evaluations+got.CacheHits != 30*41 {
+			t.Fatalf("seed %d: evals %d + hits %d != %d", seed, got.Evaluations, got.CacheHits, 30*41)
+		}
+		if got.CacheHits == 0 {
+			t.Fatalf("seed %d: memo never hit (elites alone guarantee hits)", seed)
+		}
+	}
+}
+
 // TestSearchDeterministicAcrossGOMAXPROCS checks the default (parallel,
 // cached) search is scheduling-independent, not just worker-count
 // independent.

@@ -9,9 +9,10 @@ import (
 )
 
 // GenomeCache memoizes objective values keyed on the exact gene bits of a
-// genome (see Key). It belongs to one search run: Minimize and TPE each
-// make a fresh one per call, and Evaluate reads and writes it on the
-// caller's goroutine only, so it needs no lock. The key is the genome
+// genome (see Key). It belongs to one search run: Minimize keeps one
+// holding its last evaluated population, TPE one holding its whole run,
+// and Evaluate reads and writes it on the caller's goroutine only, so it
+// needs no lock. The key is the genome
 // alone, so a cache is only valid for the one objective it was filled
 // against.
 type GenomeCache map[string]float64
@@ -52,15 +53,27 @@ func Key(x []float64) string {
 // the number served by the cache or an earlier duplicate in the block;
 // the two sum to len(X).
 func Evaluate(obj Objective, cache GenomeCache, workers int, X [][]float64, out []float64) (evaluated, hits int) {
+	return evaluateInto(obj, cache, cache, workers, X, out)
+}
+
+// evaluateInto is Evaluate with the memo's reads and writes split: rows
+// memo holds are replayed, and every distinct row of X — replayed or
+// scored — is recorded in keep (nil records nothing). With keep == memo
+// it is Evaluate; with a fresh keep, keep ends up holding exactly the
+// block, which is how Minimize keeps a one-generation memo.
+func evaluateInto(obj Objective, memo, keep GenomeCache, workers int, X [][]float64, out []float64) (evaluated, hits int) {
 	var uniq [][]float64
 	var keys []string
-	slot := make([]int, len(X)) // index into uniq, or -1 for a cache hit
+	slot := make([]int, len(X)) // index into uniq, or -1 for a memo hit
 	seen := make(map[string]int, len(X))
 	for i, x := range X {
 		k := Key(x)
-		if v, ok := cache[k]; ok {
+		if v, ok := memo[k]; ok {
 			out[i] = v
 			slot[i] = -1
+			if keep != nil {
+				keep[k] = v
+			}
 			continue
 		}
 		j, ok := seen[k]
@@ -91,9 +104,9 @@ func Evaluate(obj Objective, cache GenomeCache, workers int, X [][]float64, out 
 		}
 		wg.Wait()
 	}
-	if cache != nil {
+	if keep != nil {
 		for j, v := range vals {
-			cache[keys[j]] = v
+			keep[keys[j]] = v
 		}
 	}
 	for i, j := range slot {

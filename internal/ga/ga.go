@@ -139,6 +139,26 @@ func ConvergedAt(history []float64, best float64) int {
 // optionally seeds the population with existing vectors (the paper seeds
 // popSize vectors drawn from the training set); the remainder is random.
 func Minimize(space *conf.Space, obj Objective, init [][]float64, opt Options) Result {
+	// Genome memoization: fitness keyed on the exact gene bits of the
+	// last evaluated population, so elites and children equal to a
+	// parent never reach the objective again. Older generations are
+	// forgotten — a genome that skips a generation is rescored, which
+	// the pure objective answers identically — so the memo holds at
+	// most PopSize entries however long the run. The two maps swap
+	// roles each generation and keep their buckets.
+	memo, spare := GenomeCache{}, GenomeCache{}
+	return minimize(space, init, opt, func(pop [][]float64, fit []float64) (evaluated, hits int) {
+		clear(spare)
+		evaluated, hits = evaluateInto(obj, memo, spare, opt.Workers, pop, fit)
+		memo, spare = spare, memo
+		return evaluated, hits
+	})
+}
+
+// minimize is the GA loop over a population scorer: score writes each
+// individual's fitness into fit and returns how many rows the objective
+// scored and how many were replayed.
+func minimize(space *conf.Space, init [][]float64, opt Options, score func(pop [][]float64, fit []float64) (evaluated, hits int)) Result {
 	opt = opt.withDefaults()
 	rng := rand.New(rand.NewSource(opt.Seed))
 	d := space.Len()
@@ -159,16 +179,11 @@ func Minimize(space *conf.Space, obj Objective, init [][]float64, opt Options) R
 	res := Result{BestFitness: math.Inf(1)}
 	fit := make([]float64, opt.PopSize)
 
-	// Genome memoization: fitness keyed on the exact gene bits, so
-	// repeated individuals (elites, duplicate children late in a
-	// converged run) never reach the objective again.
-	cache := GenomeCache{}
-
-	// evaluate scores the population through the shared evaluator, then
-	// scans it serially in population order, so the best-individual
-	// tie-breaking is the same at any worker count or cache state.
+	// evaluate scores the population, then scans it serially in
+	// population order, so the best-individual tie-breaking is the same
+	// at any worker count or memo state.
 	evaluate := func() {
-		n, hits := Evaluate(obj, cache, opt.Workers, pop, fit)
+		n, hits := score(pop, fit)
 		res.Evaluations += n
 		res.CacheHits += hits
 		evals.Add(int64(n))

@@ -350,6 +350,7 @@ func (t *trainer) firstOrderProcedure(rng *rand.Rand, abort *atomic.Bool) *first
 func (t *trainer) boost(fo *firstOrder, pred, valPred []float64, budget int, rng *rand.Rand, abort *atomic.Bool) int {
 	n := t.train.Len()
 	resid := make([]float64, n)
+	idx := make([]int, n) // the round's bootstrap sample; Grow keeps no reference
 	gOpt := tree.Options{MaxSplits: t.opt.TreeComplexity, MinLeaf: t.opt.MinLeaf, Workers: t.opt.workers()}
 
 	grown := 0
@@ -363,7 +364,7 @@ func (t *trainer) boost(fo *firstOrder, pred, valPred []float64, budget int, rng
 		for i := range resid {
 			resid[i] = t.yFit[i] - pred[i]
 		}
-		idx := model.Bootstrap(n, rng)
+		model.BootstrapInto(idx, rng)
 		tr := t.builder.Grow(resid, idx, gOpt, rng)
 		fo.trees = append(fo.trees, tr)
 		grown++

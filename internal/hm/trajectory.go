@@ -51,6 +51,7 @@ func Trajectory(ds *model.Dataset, opt Options, checkpoints []int) ([]float64, e
 		valPred[i] = base
 	}
 	resid := make([]float64, n)
+	idx := make([]int, n)
 	gOpt := tree.Options{MaxSplits: opt.TreeComplexity, MinLeaf: opt.MinLeaf, Workers: opt.workers()}
 
 	errAt := make(map[int]float64, len(sorted))
@@ -59,7 +60,7 @@ func Trajectory(ds *model.Dataset, opt Options, checkpoints []int) ([]float64, e
 		for i := range resid {
 			resid[i] = t.yFit[i] - pred[i]
 		}
-		idx := model.Bootstrap(n, rng)
+		model.BootstrapInto(idx, rng)
 		tr := t.builder.Grow(resid, idx, gOpt, rng)
 		t.update(tr, opt.LearningRate, pred, valPred)
 		for next < len(sorted) && sorted[next] == k {

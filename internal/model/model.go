@@ -130,10 +130,17 @@ func (ds *Dataset) Split(trainFrac float64, rng *rand.Rand) (train, test *Datase
 // Bootstrap returns n row indices sampled with replacement.
 func Bootstrap(n int, rng *rand.Rand) []int {
 	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = rng.Intn(n)
-	}
+	BootstrapInto(idx, rng)
 	return idx
+}
+
+// BootstrapInto fills idx with len(idx) row indices sampled with
+// replacement — Bootstrap's draws, into a buffer a boosting loop reuses
+// for every tree.
+func BootstrapInto(idx []int, rng *rand.Rand) {
+	for i := range idx {
+		idx[i] = rng.Intn(len(idx))
+	}
 }
 
 // RelErr is Eq. 2: |t_pre - t_mea| / t_mea.

@@ -43,7 +43,11 @@ type Options struct {
 // within an evaluation budget. Implementations must be deterministic in
 // (space, objective values, Options.Budget, Seed, Init) — bit-identical
 // results at any GOMAXPROCS or worker count — and must return legal
-// vectors (every gene inside its parameter's range).
+// vectors (every gene inside its parameter's range). Search must be safe
+// for concurrent calls on one Searcher value: a tune searches each of its
+// target sizes at once through the same searcher, so per-run state (RNG,
+// memo, history) lives in the call, not the value. Every built-in
+// searcher keeps its state that way.
 type Searcher interface {
 	// Name is the registry key ("ga", "tpe", "random", ...).
 	Name() string
@@ -136,7 +140,7 @@ func (f funcSearcher) Search(space *conf.Space, obj Objective, opt Options) Resu
 
 // GASearcher wraps ga.Minimize as a registered Searcher. Opt carries the
 // GA hyperparameters (zero value = the paper's 100×100 setup); the
-// per-call Options override its Seed, seeding, workers, cache, and
+// per-call Options override its Seed, seeding, workers and
 // registry, and Options.Budget derives Generations as
 // Budget/PopSize − 1 when Generations is unset — the initial population
 // plus each generation scores PopSize candidates, so a GA at PopSize p

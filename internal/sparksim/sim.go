@@ -113,16 +113,13 @@ func selectKth(s []float64, k int) float64 {
 	return s[k]
 }
 
-// slotClock returns a zeroed length-n slot heap.
+// slotClock returns a length-n slot heap whose elements the caller
+// overwrites before use.
 func (sc *runScratch) slotClock(n int) slotHeap {
 	if cap(sc.heap) < n {
 		sc.heap = make(slotHeap, n)
 	}
-	h := sc.heap[:n]
-	for i := range h {
-		h[i] = 0
-	}
-	return h
+	return sc.heap[:n]
 }
 
 // Run simulates one execution of program p over inputMB megabytes of input
@@ -485,11 +482,22 @@ func wallShare(tasks, slots int) float64 {
 // dominated the collecting hot loop's allocation profile.
 type slotHeap []float64
 
+// heapify orders h into a min-heap in O(len(h)), sifting each internal
+// node down from the last one up.
+func (h slotHeap) heapify() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.siftDown(i, h[i])
+	}
+}
+
 // replaceMin overwrites the minimum (the root) with v and restores heap
-// order — the event loop's pop-then-push, fused. A zero-filled slice is a
-// valid starting heap, so no separate Init is needed.
-func (h slotHeap) replaceMin(v float64) {
-	i, n := 0, len(h)
+// order — the event loop's pop-then-push, fused.
+func (h slotHeap) replaceMin(v float64) { h.siftDown(0, v) }
+
+// siftDown places v at node i's position or below, moving smaller
+// children up until v is no larger than either child.
+func (h slotHeap) siftDown(i int, v float64) {
+	n := len(h)
 	for {
 		l := 2*i + 1
 		if l >= n {
@@ -518,12 +526,29 @@ func scheduleTasks(durs []float64, slots int) (span float64, launches int) {
 
 // scheduleTasksIn is scheduleTasks over a caller-provided scratch whose
 // slot heap is reused; nil allocates a fresh heap.
+//
+// Durations are non-negative, so with every slot free at time 0 the first
+// min(slots, tasks) tasks each start at 0 on their own slot and finish at
+// their duration. A stage that fits in one wave therefore spans its
+// largest duration, with no heap at all; a longer stage starts its heap
+// from the first wave's durations, heapified in O(slots) instead of
+// sifted one by one into a heap of zeros. The loop then pops the same
+// sequence of minima as a heap grown from zeros — a min-heap's root
+// depends only on the multiset it holds — so the makespan is
+// bit-identical.
 func scheduleTasksIn(durs []float64, slots int, sc *runScratch) (span float64, launches int) {
 	if slots < 1 {
 		slots = 1
 	}
-	if slots > len(durs) {
-		slots = len(durs)
+	first := min(slots, len(durs))
+	maxFin := 0.0
+	for _, d := range durs[:first] {
+		if d > maxFin {
+			maxFin = d
+		}
+	}
+	if first == len(durs) {
+		return maxFin, len(durs)
 	}
 	var h slotHeap
 	if sc != nil {
@@ -531,8 +556,9 @@ func scheduleTasksIn(durs []float64, slots int, sc *runScratch) (span float64, l
 	} else {
 		h = make(slotHeap, slots)
 	}
-	maxFin := 0.0
-	for _, d := range durs {
+	copy(h, durs[:slots])
+	h.heapify()
+	for _, d := range durs[slots:] {
 		fin := h[0] + d // the root is the earliest-free slot
 		h.replaceMin(fin)
 		if fin > maxFin {

@@ -1,6 +1,7 @@
 package sparksim
 
 import (
+	"container/heap"
 	"math"
 	"math/rand"
 	"sort"
@@ -232,6 +233,76 @@ func TestScheduleTasks(t *testing.T) {
 	span, _ = scheduleTasks([]float64{1, 1}, 0)
 	if span != 2 {
 		t.Fatalf("span=%v, want 2 on a single slot", span)
+	}
+}
+
+// plainSchedule is the list-scheduling loop in its plainest form: a
+// container/heap of slot-free times starting all at zero, each task
+// popping the earliest-free slot and pushing its finish time back.
+func plainSchedule(durs []float64, slots int) float64 {
+	if slots < 1 {
+		slots = 1
+	}
+	h := &floatHeap{}
+	for i := 0; i < slots; i++ {
+		heap.Push(h, 0.0)
+	}
+	span := 0.0
+	for _, d := range durs {
+		fin := heap.Pop(h).(float64) + d
+		heap.Push(h, fin)
+		if fin > span {
+			span = fin
+		}
+	}
+	return span
+}
+
+type floatHeap []float64
+
+func (h floatHeap) Len() int           { return len(h) }
+func (h floatHeap) Less(i, j int) bool { return h[i] < h[j] }
+func (h floatHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *floatHeap) Push(x any)        { *h = append(*h, x.(float64)) }
+func (h *floatHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
+}
+
+// TestScheduleTasksMatchesPlainHeap checks the scheduler's shortcuts — no
+// heap for a single-wave stage, a heapified first wave otherwise —
+// against the plain heap loop, bit for bit, over random stages: one and
+// many waves, zero-slot clamping, repeated and zero durations, and a
+// reused scratch heap.
+func TestScheduleTasksMatchesPlainHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	sc := newRunScratch()
+	for trial := 0; trial < 3000; trial++ {
+		tasks := rng.Intn(200)
+		slots := rng.Intn(64)
+		durs := make([]float64, tasks)
+		for i := range durs {
+			switch rng.Intn(8) {
+			case 0:
+				durs[i] = 0
+			case 1:
+				durs[i] = float64(1 + rng.Intn(4)) // exact ties
+			default:
+				durs[i] = rng.ExpFloat64() * math.Pow(10, float64(rng.Intn(5)-2))
+			}
+		}
+		want := plainSchedule(durs, slots)
+		var scratch *runScratch
+		if trial%2 == 1 {
+			scratch = sc
+		}
+		span, n := scheduleTasksIn(durs, slots, scratch)
+		if math.Float64bits(span) != math.Float64bits(want) || n != tasks {
+			t.Fatalf("trial %d (%d tasks, %d slots): span %v (%d launches), plain heap %v",
+				trial, tasks, slots, span, n, want)
+		}
 	}
 }
 
