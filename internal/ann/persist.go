@@ -11,8 +11,7 @@ import (
 // snapshot is the serialized form of a Network: weights, biases, and the
 // feature/target transforms. Momentum buffers are training state and are
 // not persisted — a loaded network predicts bit-identically but is not
-// resumable (the backend accordingly implements Saver/Loader, not
-// Resumer).
+// resumable (the backend accordingly does not implement model.Resumer).
 type snapshot struct {
 	Version     int
 	Layers      []snapshotLayer
@@ -114,7 +113,7 @@ func (b Backend) Train(ds *model.Dataset, opt model.TrainOpts) (model.Model, err
 	return Train(ds, b.options(opt))
 }
 
-// Save implements model.Saver.
+// Save implements model.Backend.
 func (Backend) Save(m model.Model, w io.Writer) error {
 	n, ok := m.(*Network)
 	if !ok {
@@ -123,5 +122,5 @@ func (Backend) Save(m model.Model, w io.Writer) error {
 	return n.Save(w)
 }
 
-// Load implements model.Loader.
+// Load implements model.Backend.
 func (Backend) Load(r io.Reader) (model.Model, error) { return Load(r) }

@@ -1,11 +1,12 @@
-// Package apps implements the paper's six evaluated programs as real
-// computations on the execution engine (internal/engine) — not cost
-// models: WordCount, TeraSort, KMeans, PageRank, Naive Bayes, and NWeight
-// all run on actual data with actual shuffles. They are the executable
-// ground truth behind internal/workloads' stage profiles, and their tests
-// verify real algorithmic correctness (clusters recovered, ranks matching
-// power iteration, classifications right, associations matching brute
-// force).
+// Package apps is test-only: it implements the paper's six evaluated
+// programs as real computations on the execution engine (internal/engine)
+// — not cost models: WordCount, TeraSort, KMeans, PageRank, Naive Bayes,
+// and NWeight all run on actual data with actual shuffles. They are the
+// executable ground truth behind internal/workloads' stage profiles, and
+// their tests verify real algorithmic correctness (clusters recovered,
+// ranks matching power iteration, classifications right, associations
+// matching brute force). No production package runs them, so they live
+// in _test.go files and link into no binary.
 package apps
 
 import (

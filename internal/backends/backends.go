@@ -14,8 +14,8 @@ import (
 )
 
 // Default returns a registry with every built-in backend: hm (the
-// paper's hierarchical model, with persistence and warm-start), rf
-// (persistence), and the rs/ann/svm baselines (persistence).
+// paper's hierarchical model, the one with warm-start), rf, and the
+// rs/ann/svm baselines.
 func Default() *model.BackendRegistry {
 	r, err := model.NewBackendRegistry(
 		hm.Backend{},

@@ -43,13 +43,13 @@ func TestDefaultRegistry(t *testing.T) {
 	}
 
 	// The capability matrix is part of the contract: hm is the only
-	// backend that can warm-start, and every backend persists.
+	// backend that can warm-start.
 	caps := map[string]model.Capabilities{
-		"hm":  {Save: true, Load: true, Resume: true},
-		"rf":  {Save: true, Load: true},
-		"rs":  {Save: true, Load: true},
-		"ann": {Save: true, Load: true},
-		"svm": {Save: true, Load: true},
+		"hm":  {Resume: true},
+		"rf":  {},
+		"rs":  {},
+		"ann": {},
+		"svm": {},
 	}
 	for name, want := range caps {
 		b, err := reg.Lookup(name)
@@ -125,10 +125,10 @@ func TestBackendCodecRoundTrip(t *testing.T) {
 			t.Fatalf("%s: train: %v", name, err)
 		}
 		var buf bytes.Buffer
-		if err := b.(model.Saver).Save(m, &buf); err != nil {
+		if err := b.Save(m, &buf); err != nil {
 			t.Fatalf("%s: save: %v", name, err)
 		}
-		got, err := b.(model.Loader).Load(bytes.NewReader(buf.Bytes()))
+		got, err := b.Load(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("%s: load: %v", name, err)
 		}
@@ -148,7 +148,7 @@ func TestBackendCodecRejectsGarbage(t *testing.T) {
 	reg := Default()
 	for _, name := range reg.Names() {
 		b, _ := reg.Lookup(name)
-		if _, err := b.(model.Loader).Load(bytes.NewReader([]byte("not a snapshot"))); err == nil {
+		if _, err := b.Load(bytes.NewReader([]byte("not a snapshot"))); err == nil {
 			t.Fatalf("%s: loading garbage should fail", name)
 		}
 	}

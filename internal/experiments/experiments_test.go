@@ -216,27 +216,38 @@ func TestNaiveSweep(t *testing.T) {
 
 func TestValidateDirectionsAgree(t *testing.T) {
 	if testing.Short() {
-		t.Skip("engine timing in -short mode")
+		t.Skip("engine runs in -short mode")
 	}
 	rows := Validate(tinyScale())
 	if len(rows) != 3 {
 		t.Fatalf("got %d rows", len(rows))
 	}
-	agree := 0
 	for _, r := range rows {
 		if r.EngineRatio <= 0 || r.SimRatio <= 0 {
 			t.Fatalf("non-positive ratio: %+v", r)
 		}
-		if r.Agree {
-			agree++
-		}
 	}
-	// Engine timings are wall-clock and machine-dependent; demand a
-	// majority rather than unanimity.
-	if agree < 2 {
-		t.Errorf("only %d of 3 knob directions agree: %+v", agree, rows)
+	// The engine's wall-clock ratios move with host load, so they are
+	// reported, not checked. The engine side is checked through the
+	// counters that explain its direction, and the simulator's ratios,
+	// which are deterministic, through their side of 1.
+	compress, slots, starved := rows[0], rows[1], rows[2]
+	if compress.Counter != "ShuffleBytesWritten" || compress.After >= compress.Before {
+		t.Errorf("compression should shrink the engine's shuffle bytes: %+v", compress)
 	}
-	if s := RenderValidate(rows); !strings.Contains(s, "agree") {
+	if compress.SimRatio <= 1 {
+		t.Errorf("compression should cost the CPU-bound simulated job time: %+v", compress)
+	}
+	if slots.SimRatio >= 1 {
+		t.Errorf("more task slots should speed the simulated job up: %+v", slots)
+	}
+	if starved.Counter != "SpillBytes" || starved.Before != 0 || starved.After <= 0 {
+		t.Errorf("a starved shuffle should spill on the engine, a fed one not: %+v", starved)
+	}
+	if starved.SimRatio <= 1 {
+		t.Errorf("a starved shuffle should slow the simulated job down: %+v", starved)
+	}
+	if s := RenderValidate(rows); !strings.Contains(s, "agree") || !strings.Contains(s, "SpillBytes") {
 		t.Error("render malformed")
 	}
 }

@@ -42,7 +42,7 @@ func (b Backend) Train(ds *model.Dataset, opt model.TrainOpts) (model.Model, err
 	return Train(ds, b.options(opt))
 }
 
-// Save implements model.Saver.
+// Save implements model.Backend.
 func (b Backend) Save(m model.Model, w io.Writer) error {
 	hmm, ok := m.(*Model)
 	if !ok {
@@ -51,7 +51,7 @@ func (b Backend) Save(m model.Model, w io.Writer) error {
 	return hmm.Save(w)
 }
 
-// Load implements model.Loader.
+// Load implements model.Backend.
 func (Backend) Load(r io.Reader) (model.Model, error) { return Load(r) }
 
 // Resume implements model.Resumer: it continues a persisted or in-memory

@@ -9,14 +9,15 @@ import (
 )
 
 // This file is the pluggable model-backend contract: one named entry per
-// modeling technique (hm, rf, rs, ann, svm) exposing training through a
-// uniform surface, with persistence and warm-start as optional
-// capabilities discovered by interface assertion. The paper compares the
-// five techniques once (§4.2, Fig. 8–9); the backend layer is what lets
-// every consumer — the experiments harness, the core pipeline, the dac
-// CLI, and the dacd daemon's model registry — treat them uniformly, so a
-// new surrogate (LOCAT-style model swapping, Tuneful-style per-workload
-// selection) lands in one place instead of five.
+// modeling technique (hm, rf, rs, ann, svm) exposing training and
+// persistence through a uniform surface, with warm-start as the one
+// optional capability, discovered by interface assertion. The paper
+// compares the five techniques once (§4.2, Fig. 8–9); the backend layer
+// is what lets every consumer — the experiments harness, the core
+// pipeline, the dac CLI, and the dacd daemon's model registry — treat
+// them uniformly, so a new surrogate (LOCAT-style model swapping,
+// Tuneful-style per-workload selection) lands in one place instead of
+// five.
 
 // TrainOpts carries the knobs a caller sets per training job, the same
 // for every backend. Every field is optional: a zero field keeps the
@@ -38,10 +39,10 @@ type TrainOpts struct {
 	Trees int
 }
 
-// Backend is one named modeling technique behind a uniform training
-// surface. The returned Model serves single predictions via Predict and
-// batches via PredictBatch (the package-level helper uses the model's
-// batch fast path when it has one). Implementations live in
+// Backend is one named modeling technique behind a uniform training and
+// persistence surface. The returned Model serves single predictions via
+// Predict and batches via PredictBatch (the package-level helper uses the
+// model's batch fast path when it has one). Implementations live in
 // internal/{hm,rf,rs,ann,svm}; the assembled registry in
 // internal/backends.
 type Backend interface {
@@ -49,21 +50,12 @@ type Backend interface {
 	Name() string
 	// Train fits a model; it must not retain ds's slices.
 	Train(ds *Dataset, opt TrainOpts) (Model, error)
-}
-
-// Saver is the optional persistence capability: a backend that can write
-// one of its own models to a stream. Save must reject models of a
-// different backend with an error rather than corrupting the stream.
-type Saver interface {
-	Backend
+	// Save writes one of this backend's models to w. It must reject
+	// models of a different backend with an error rather than corrupting
+	// the stream.
 	Save(m Model, w io.Writer) error
-}
-
-// Loader is the inverse capability: decode a model this backend's Save
-// wrote. A backend implementing Saver should implement Loader too —
-// persistence without reload is useless to the registry.
-type Loader interface {
-	Backend
+	// Load decodes a model this backend's Save wrote. It must not panic
+	// on arbitrary bytes, and every model it accepts must answer Predict.
 	Load(r io.Reader) (Model, error)
 }
 
@@ -76,20 +68,16 @@ type Resumer interface {
 	Resume(m Model, ds *Dataset, opt TrainOpts, extra int) error
 }
 
-// Capabilities summarizes what a backend can do beyond Train, as
-// discovered by interface assertion.
+// Capabilities summarizes what a backend can do beyond the Backend
+// contract, as discovered by interface assertion.
 type Capabilities struct {
-	Save   bool `json:"save"`
-	Load   bool `json:"load"`
 	Resume bool `json:"resume"`
 }
 
-// CapabilitiesOf probes b for the optional interfaces.
+// CapabilitiesOf probes b for the optional Resumer interface.
 func CapabilitiesOf(b Backend) Capabilities {
-	_, save := b.(Saver)
-	_, load := b.(Loader)
 	_, resume := b.(Resumer)
-	return Capabilities{Save: save, Load: load, Resume: resume}
+	return Capabilities{Resume: resume}
 }
 
 // BackendRegistry maps backend names to Backend values. It is immutable

@@ -35,7 +35,7 @@ func (b Backend) Train(ds *model.Dataset, opt model.TrainOpts) (model.Model, err
 	return Train(ds, b.options(opt))
 }
 
-// Save implements model.Saver.
+// Save implements model.Backend.
 func (Backend) Save(m model.Model, w io.Writer) error {
 	f, ok := m.(*Forest)
 	if !ok {
@@ -44,5 +44,5 @@ func (Backend) Save(m model.Model, w io.Writer) error {
 	return f.Save(w)
 }
 
-// Load implements model.Loader.
+// Load implements model.Backend.
 func (Backend) Load(r io.Reader) (model.Model, error) { return Load(r) }

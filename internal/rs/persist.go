@@ -83,7 +83,7 @@ func (b Backend) Train(ds *model.Dataset, opt model.TrainOpts) (model.Model, err
 	return Train(ds, b.Opt)
 }
 
-// Save implements model.Saver.
+// Save implements model.Backend.
 func (Backend) Save(m model.Model, w io.Writer) error {
 	s, ok := m.(*Surface)
 	if !ok {
@@ -92,5 +92,5 @@ func (Backend) Save(m model.Model, w io.Writer) error {
 	return s.Save(w)
 }
 
-// Load implements model.Loader.
+// Load implements model.Backend.
 func (Backend) Load(r io.Reader) (model.Model, error) { return Load(r) }

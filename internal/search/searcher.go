@@ -11,9 +11,9 @@ import (
 
 // Options carries the budget and wiring a Searcher.Search call receives.
 // Every field beyond Budget and Seed is optional: searchers that cannot
-// use init seeds, worker fan-out, or a shared cache simply ignore them —
-// the contract is that the result depends only on (space, objective
-// values, Budget, Seed, Init), never on Workers or cache state.
+// use init seeds or worker fan-out simply ignore them — the contract is
+// that the result depends only on (space, objective values, Budget, Seed,
+// Init), never on Workers or Obs.
 type Options struct {
 	// Budget bounds the search's candidate considerations: how many
 	// configurations the searcher may score. Population searchers that

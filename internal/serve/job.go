@@ -816,13 +816,8 @@ func (m *Manager) collectDurable(ctx context.Context, id int64, t *core.Tuner, w
 
 // registerModel saves a job's model under the spec's registry name with
 // its provenance, so later search jobs (and warm starts) reuse it without
-// paying the collect again, and returns the entry. A backend without the
-// Saver capability skips registration and returns version 0.
+// paying the collect again, and returns the entry.
 func (m *Manager) registerModel(id int64, spec JobSpec, w *workloads.Workload, mdl model.Model, ntrain int, warmFrom string) (name string, version int, err error) {
-	b, _ := m.models.Backends().Lookup(spec.backend()) // unknown names were rejected at Submit
-	if _, ok := b.(model.Saver); !ok {
-		return "", 0, nil
-	}
 	name = spec.modelName(w)
 	version, err = m.models.Save(name, mdl, ModelMeta{
 		Backend:     spec.backend(),
@@ -931,9 +926,6 @@ func (m *Manager) runTrain(ctx context.Context, id int64, spec JobSpec) (any, er
 	if err != nil {
 		return nil, err
 	}
-	if version == 0 {
-		return nil, fmt.Errorf("serve: backend %q cannot save models", backendName)
-	}
 	out := map[string]any{
 		"model":   name,
 		"version": version,
@@ -1004,9 +996,7 @@ func (m *Manager) runTune(ctx context.Context, id int64, spec JobSpec, t *core.T
 	if err != nil {
 		return nil, err
 	}
-	if version > 0 {
-		out["model"], out["model_version"], out["backend"] = name, version, spec.backend()
-	}
+	out["model"], out["model_version"], out["backend"] = name, version, spec.backend()
 	return out, nil
 }
 
@@ -1094,9 +1084,7 @@ func (m *Manager) runTuneOnline(ctx context.Context, id int64, spec JobSpec, t *
 	if err != nil {
 		return nil, err
 	}
-	if version > 0 {
-		out["model"], out["model_version"], out["backend"] = name, version, spec.backend()
-	}
+	out["model"], out["model_version"], out["backend"] = name, version, spec.backend()
 	return out, nil
 }
 

@@ -84,20 +84,6 @@ func NewModelRegistry(dir string) (*ModelRegistry, error) {
 // manager and the HTTP layer).
 func (r *ModelRegistry) Backends() *model.BackendRegistry { return r.backends }
 
-// saver resolves the backend that can persist models for name, erroring
-// when the backend exists but lacks the capability.
-func (r *ModelRegistry) saver(backend string) (model.Saver, error) {
-	b, err := r.backends.Lookup(backend)
-	if err != nil {
-		return nil, err
-	}
-	s, ok := b.(model.Saver)
-	if !ok {
-		return nil, fmt.Errorf("serve: backend %q cannot persist models", backend)
-	}
-	return s, nil
-}
-
 // validName keeps registry names shell- and path-safe.
 func validName(name string) error {
 	if name == "" {
@@ -202,7 +188,7 @@ func (r *ModelRegistry) saveLocked(name string, m model.Model, meta ModelMeta) (
 		return ModelMeta{}, err
 	}
 	meta.Backend = meta.backendName()
-	saver, err := r.saver(meta.Backend)
+	b, err := r.backends.Lookup(meta.Backend)
 	if err != nil {
 		return ModelMeta{}, err
 	}
@@ -229,7 +215,7 @@ func (r *ModelRegistry) saveLocked(name string, m model.Model, meta ModelMeta) (
 	}
 
 	mp := filepath.Join(dir, fmt.Sprintf("v%d.model", next))
-	if err := atomicWrite(mp, func(f *os.File) error { return saver.Save(m, f) }); err != nil {
+	if err := atomicWrite(mp, func(f *os.File) error { return b.Save(m, f) }); err != nil {
 		return ModelMeta{}, err
 	}
 	jp := filepath.Join(dir, fmt.Sprintf("v%d.json", next))
@@ -275,10 +261,6 @@ func (r *ModelRegistry) Load(name string, version int) (model.Model, ModelMeta, 
 	if err != nil {
 		return nil, ModelMeta{}, fmt.Errorf("serve: model %s@v%d: %w", name, version, err)
 	}
-	loader, ok := b.(model.Loader)
-	if !ok {
-		return nil, ModelMeta{}, fmt.Errorf("serve: model %s@v%d: backend %q cannot load models", name, version, meta.backendName())
-	}
 	f, err := os.Open(filepath.Join(dir, fmt.Sprintf("v%d.model", version)))
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -286,7 +268,7 @@ func (r *ModelRegistry) Load(name string, version int) (model.Model, ModelMeta, 
 		}
 		return nil, ModelMeta{}, err
 	}
-	m, err := loader.Load(f)
+	m, err := b.Load(f)
 	f.Close()
 	if err != nil {
 		return nil, ModelMeta{}, fmt.Errorf("serve: model %s@v%d: %w", name, version, err)

@@ -13,9 +13,6 @@ type Options struct {
 	// DisableOOM removes out-of-memory task failures; memory pressure
 	// then only manifests as spills.
 	DisableOOM bool
-	// DisableSpeculation ignores the speculation parameters even when
-	// the configuration enables them.
-	DisableSpeculation bool
 	// NoiseSigma is the lognormal sigma of per-task service-time noise.
 	// Negative disables noise; zero selects the default (0.06).
 	NoiseSigma float64

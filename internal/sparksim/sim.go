@@ -380,7 +380,7 @@ func (sim *Simulator) runStage(e *env, st *Stage, inputMB float64, rng *rand.Ran
 	// toward the stage's task launches — the paper's accounting counts
 	// every attempt, not just original tasks.
 	specCopies := 0
-	if cfg.GetBool(conf.Speculation) && !sim.Opt.DisableSpeculation && tasks >= 4 {
+	if cfg.GetBool(conf.Speculation) && tasks >= 4 {
 		med := sc.median(durs)
 		mult := cfg.Get(conf.SpeculationMultiplier)
 		quant := cfg.Get(conf.SpeculationQuantile)
@@ -516,16 +516,11 @@ func (h slotHeap) siftDown(i int, v float64) {
 	h[i] = v
 }
 
-// scheduleTasks runs the list-scheduling event loop: each task goes to the
-// earliest-free slot. It returns the stage makespan and the number of task
-// launches (one per duration; speculative copies are accounted by the
-// caller, which knows how many stragglers it replaced).
-func scheduleTasks(durs []float64, slots int) (span float64, launches int) {
-	return scheduleTasksIn(durs, slots, nil)
-}
-
-// scheduleTasksIn is scheduleTasks over a caller-provided scratch whose
-// slot heap is reused; nil allocates a fresh heap.
+// scheduleTasksIn runs the list-scheduling event loop: each task goes to
+// the earliest-free slot. It returns the stage makespan and the number of
+// task launches (one per duration; speculative copies are accounted by the
+// caller, which knows how many stragglers it replaced). The slot heap
+// lives in the caller-provided scratch; nil allocates a fresh heap.
 //
 // Durations are non-negative, so with every slot free at time 0 the first
 // min(slots, tasks) tasks each start at 0 on their own slot and finish at

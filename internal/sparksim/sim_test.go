@@ -218,6 +218,11 @@ func TestValidateCatchesBadPrograms(t *testing.T) {
 	}
 }
 
+// scheduleTasks is scheduleTasksIn with a fresh slot heap.
+func scheduleTasks(durs []float64, slots int) (span float64, launches int) {
+	return scheduleTasksIn(durs, slots, nil)
+}
+
 func TestScheduleTasks(t *testing.T) {
 	// 4 tasks of 1s on 2 slots: makespan 2s.
 	span, n := scheduleTasks([]float64{1, 1, 1, 1}, 2)
